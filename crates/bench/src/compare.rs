@@ -422,10 +422,11 @@ fn push_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_json, run_kraftwerk_recorded};
+    use crate::{bench_json, run_kraftwerk_recorded, sink_lock};
 
     #[test]
     fn baseline_round_trips_through_bench_json() {
+        let _guard = sink_lock();
         let netlist = mcnc::by_name("fract");
         let (_, run) = run_kraftwerk_recorded(&netlist, KraftwerkConfig::fast(), "fast");
         let parsed = parse_baseline(&bench_json(std::slice::from_ref(&run)))

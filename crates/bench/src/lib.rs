@@ -430,6 +430,17 @@ pub fn table1_circuits(max_cells: usize) -> Vec<kraftwerk_netlist::synth::mcnc::
         .collect()
 }
 
+/// Serializes the tests that install the process-global trace sink (the
+/// recorded runs): two of them running at once would swap each other's
+/// recorder out mid-run.
+#[cfg(test)]
+pub(crate) fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
+    static GLOBAL_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GLOBAL_SINK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +460,7 @@ mod tests {
 
     #[test]
     fn recorded_run_captures_phases_and_serializes() {
+        let _guard = sink_lock();
         let nl = generate(&SynthConfig::with_size("jsonrun", 120, 150, 6));
         let (result, run) = run_kraftwerk_recorded(&nl, KraftwerkConfig::fast(), "fast");
         assert!(result.legal);
@@ -478,6 +490,7 @@ mod tests {
 
     #[test]
     fn multilevel_flow_produces_legal_placements() {
+        let _guard = sink_lock();
         let nl = generate(&SynthConfig::with_size("mlharness", 400, 480, 10));
         let ml = MultilevelConfig {
             coarsest_movable: 100,

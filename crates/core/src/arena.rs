@@ -53,6 +53,22 @@ impl SessionPrecond {
         !matches_kind
     }
 
+    /// Sizes the Jacobi diagonal for an `n x n` matrix so the next refresh
+    /// allocates nothing (SSOR rebuilds allocate by design).
+    pub fn reserve(&mut self, n: usize) {
+        if let SessionPrecond::Jacobi(p) = self {
+            p.reserve(n);
+        }
+    }
+
+    /// Entries the Jacobi diagonal holds without reallocating (0 for SSOR).
+    pub fn capacity(&self) -> usize {
+        match self {
+            SessionPrecond::Jacobi(p) => p.capacity(),
+            SessionPrecond::Ssor(_) => 0,
+        }
+    }
+
     /// Rebuilds the preconditioner for a (re-assembled) matrix.
     pub fn refresh_from(&mut self, a: &CsrMatrix) {
         match self {
@@ -97,7 +113,8 @@ pub struct ScratchArena {
     pub(crate) diag_x: Vec<f64>,
     /// Cached diagonal of `asm.cy`, rebuilt with the assembly.
     pub(crate) diag_y: Vec<f64>,
-    /// Per-cell mean stiffness, sorted for the median estimate.
+    /// Per-cell mean stiffness, partially reordered by the median
+    /// selection.
     pub(crate) stiffness: Vec<f64>,
     /// Raw (unscaled) field force per movable cell.
     pub(crate) raw: Vec<Vector>,
@@ -147,13 +164,12 @@ impl ScratchArena {
         self.hold_valid = false;
     }
 
-    /// Capacities of every directly owned growable buffer, in a fixed
-    /// order. Two equal signatures around a block of transformations prove
-    /// the block allocated nothing new from the arena's pools.
+    /// Capacities of every growable buffer a transformation fills, in a
+    /// fixed order. Two equal signatures around a block of
+    /// transformations prove the block allocated nothing new from the
+    /// arena's pools.
     pub fn capacity_signature(&self) -> Vec<usize> {
-        vec![
-            self.diag_x.capacity(),
-            self.diag_y.capacity(),
+        let mut out = vec![
             self.stiffness.capacity(),
             self.raw.capacity(),
             self.hx.capacity(),
@@ -166,8 +182,27 @@ impl ScratchArena {
             self.ys0.capacity(),
             self.cg_x.capacity(),
             self.cg_y.capacity(),
-            self.asm.dx.capacity(),
-            self.asm.dy.capacity(),
-        ]
+        ];
+        out.extend(self.branch_capacity_signature());
+        out
+    }
+
+    /// Capacities of the buffers the concurrent field and matrix branches
+    /// of a transformation fill: assembly staging, matrices, diagonals,
+    /// Jacobi preconditioners, multigrid grids and the force field.
+    pub(crate) fn branch_capacity_signature(&self) -> Vec<usize> {
+        let mut out = vec![
+            self.diag_x.capacity(),
+            self.diag_y.capacity(),
+            self.px.capacity(),
+            self.py.capacity(),
+        ];
+        self.asm.capacities(&mut out);
+        self.assembly.capacities(&mut out);
+        out.extend(self.mg.capacity_signature());
+        if let Some(field) = &self.field {
+            out.push(field.capacity());
+        }
+        out
     }
 }

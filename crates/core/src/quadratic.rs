@@ -56,6 +56,48 @@ pub struct AssemblyScratch {
     pins: Vec<PinInfo>,
 }
 
+impl AssemblyScratch {
+    /// Appends the capacities of every staging buffer to `out`.
+    pub(crate) fn capacities(&self, out: &mut Vec<usize>) {
+        out.extend([self.coo_x.capacity(), self.coo_y.capacity(), self.pins.capacity()]);
+        out.extend(self.csr_build.capacity());
+    }
+}
+
+impl Assembled {
+    /// Appends the capacities of the matrices and linear terms to `out`.
+    pub(crate) fn capacities(&self, out: &mut Vec<usize>) {
+        for c in [&self.cx, &self.cy] {
+            let (rows, entries) = c.capacity();
+            out.extend([rows, entries]);
+        }
+        out.extend([self.dx.capacity(), self.dy.capacity()]);
+    }
+}
+
+/// Upper bounds on the size of one axis assembly under one net model —
+/// a function of the netlist alone, so one computation serves every
+/// transformation of a session.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AssemblyBounds {
+    /// Triplets staged per axis (and so CSR entries stored).
+    triplets: usize,
+    /// Triplets staged in any one row.
+    row_triplets: usize,
+}
+
+/// Whether a `k`-pin net expands as a clique (else as a star) under a
+/// non-B2B model. The cap applies to every model: an over-threshold
+/// Hybrid net already goes to the star, and a pure Clique past the cap
+/// falls back to the star too rather than staging O(k²) triplets.
+fn uses_clique(model: NetModel, k: usize) -> bool {
+    match model {
+        NetModel::Clique => k <= CLIQUE_DEGREE_CAP,
+        NetModel::Star | NetModel::B2B => false,
+        NetModel::Hybrid { clique_threshold } => k <= clique_threshold.min(CLIQUE_DEGREE_CAP),
+    }
+}
+
 /// Everything the per-net expansion needs to know about a pin.
 #[derive(Debug, Clone, Copy)]
 struct PinInfo {
@@ -272,19 +314,7 @@ impl QuadraticSystem {
                 continue;
             }
 
-            // The cap applies to every model: an over-threshold Hybrid net
-            // already goes to the star, and a pure Clique past the cap
-            // falls back to the star too rather than staging O(k²)
-            // triplets.
-            let use_clique = match model {
-                NetModel::Clique => k <= CLIQUE_DEGREE_CAP,
-                NetModel::Star | NetModel::B2B => false,
-                NetModel::Hybrid { clique_threshold } => {
-                    k <= clique_threshold.min(CLIQUE_DEGREE_CAP)
-                }
-            };
-
-            if use_clique {
+            if uses_clique(model, k) {
                 let w_edge = w_net / k as f64;
                 for i in 0..k {
                     for j in (i + 1)..k {
@@ -344,6 +374,61 @@ impl QuadraticSystem {
         }
         out.cx.rebuild_from(coo_x, csr_build);
         out.cy.rebuild_from(coo_y, csr_build);
+    }
+
+    /// Upper bounds on what [`assemble_into`](Self::assemble_into) stages
+    /// per axis under `model`, counting every pin as movable: a two-pin
+    /// edge stages at most four triplets, two in each endpoint's row, and
+    /// a pin meets at most `k - 1` edges of a `k`-pin clique or B2B net
+    /// and one star edge. The anchor adds one triplet per row.
+    pub(crate) fn assembly_bounds(&self, netlist: &Netlist, model: NetModel) -> AssemblyBounds {
+        let n = self.num_movable();
+        let mut triplets = n;
+        let mut row = vec![1usize; n];
+        for (_, net) in netlist.nets() {
+            let k = net.degree();
+            if k < 2 {
+                continue;
+            }
+            let (edges, per_pin) = if model == NetModel::B2B {
+                (2 * k - 3, k - 1)
+            } else if uses_clique(model, k) {
+                (k * (k - 1) / 2, k - 1)
+            } else {
+                (k, 1)
+            };
+            triplets += 4 * edges;
+            for &pid in net.pins() {
+                if let Some(i) = self.movable_of_cell[netlist.pin(pid).cell().index()] {
+                    row[i as usize] += 2 * per_pin;
+                }
+            }
+        }
+        AssemblyBounds {
+            triplets,
+            row_triplets: row.into_iter().max().unwrap_or(0),
+        }
+    }
+
+    /// Sizes `out` and `ws` for an assembly within `bounds`, so the next
+    /// [`assemble_into`](Self::assemble_into) allocates nothing — and
+    /// whatever thread runs it, every buffer stays where the caller
+    /// allocated it.
+    pub(crate) fn reserve_assembly(
+        &self,
+        bounds: AssemblyBounds,
+        out: &mut Assembled,
+        ws: &mut AssemblyScratch,
+    ) {
+        let n = self.num_movable();
+        ws.coo_x.reserve(bounds.triplets);
+        ws.coo_y.reserve(bounds.triplets);
+        ws.csr_build.reserve(n, bounds.triplets, bounds.row_triplets);
+        ws.pins.reserve_exact(self.max_net_degree.saturating_sub(ws.pins.len()));
+        out.cx.reserve(n, bounds.triplets);
+        out.cy.reserve(n, bounds.triplets);
+        out.dx.reserve_exact(n.saturating_sub(out.dx.len()));
+        out.dy.reserve_exact(n.saturating_sub(out.dy.len()));
     }
 
     /// The negative gradient `-(C p + d)` at the given coordinates — the

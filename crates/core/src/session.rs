@@ -4,7 +4,7 @@
 use crate::arena::ScratchArena;
 use crate::config::{FieldSolverKind, KraftwerkConfig, PrecondKind};
 use crate::error::KraftwerkError;
-use crate::quadratic::QuadraticSystem;
+use crate::quadratic::{AssemblyBounds, QuadraticSystem};
 use kraftwerk_field::{
     density_map_into, largest_empty_square, DirectSolver, FieldSolver, ForceField,
     MultigridSolver, ScalarMap, SpectralSolver,
@@ -110,6 +110,8 @@ pub struct PlacementSession<'a> {
     iteration: usize,
     last_empty_square: Vec<f64>,
     arena: ScratchArena,
+    /// Size bounds of one system assembly, computed on first use.
+    assembly_bounds: Option<AssemblyBounds>,
     wd: WatchdogState,
     hists: SessionHistograms,
 }
@@ -166,6 +168,29 @@ fn emit_grid_snapshot(kind: &'static str, iteration: usize, map: &ScalarMap) {
         small.ny(),
         small.values().to_vec(),
     );
+}
+
+/// The multigrid solver the session runs. Force directions only need a
+/// few correct digits; the default 1e-7 residual target would spend
+/// V-cycles on accuracy the displacement cap throws away.
+fn session_multigrid() -> MultigridSolver {
+    MultigridSolver {
+        tolerance: 1e-4,
+        ..MultigridSolver::new()
+    }
+}
+
+/// The element at index `len / 2` of `values` in `f64::total_cmp` order,
+/// found by selection in O(n) (it reorders `values`). The k-th element of
+/// a total order is unique, so this is bitwise the element a full sort
+/// would put there.
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+fn upper_median(values: &mut [f64]) -> f64 {
+    let mid = values.len() / 2;
+    *values.select_nth_unstable_by(mid, f64::total_cmp).1
 }
 
 /// Per-phase resource bracket: samples the heap counters (when
@@ -313,6 +338,7 @@ impl<'a> PlacementSession<'a> {
             iteration: 0,
             last_empty_square: Vec::new(),
             arena: ScratchArena::default(),
+            assembly_bounds: None,
             wd,
             hists: SessionHistograms::default(),
         }
@@ -473,12 +499,49 @@ impl<'a> PlacementSession<'a> {
         self.arena.capacity_signature()
     }
 
+    /// Sizes every buffer the field and matrix branches of a
+    /// transformation touch — assembly staging, CSR storage, diagonals,
+    /// Jacobi preconditioners, the density grid, the multigrid grids and
+    /// the force field — for this design. Runs on the calling thread
+    /// before the branches fork, so whichever thread runs a branch, its
+    /// buffers were allocated here (glibc would otherwise serve a worker
+    /// thread's first allocation from a separate per-thread heap and raise
+    /// peak RSS); at steady state every reservation is a no-op.
+    fn prepare_branches(&mut self) {
+        let core = self.netlist.core_region();
+        let (nx, ny) = self.grid_dims();
+        let bounds = *self
+            .assembly_bounds
+            .get_or_insert_with(|| self.system.assembly_bounds(self.netlist, self.config.net_model));
+        let n = self.system.num_movable();
+        let arena = &mut self.arena;
+        self.system
+            .reserve_assembly(bounds, &mut arena.asm, &mut arena.assembly);
+        for v in [&mut arena.diag_x, &mut arena.diag_y] {
+            v.reserve_exact(n.saturating_sub(v.len()));
+        }
+        arena.px.reserve(n);
+        arena.py.reserve(n);
+        // The density map is rebuilt over the core on this grid.
+        let density = arena.density.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
+        if (density.nx(), density.ny(), density.region()) != (nx, ny, core) {
+            density.reset(core, nx, ny);
+        }
+        if self.config.field_solver == FieldSolverKind::Direct {
+            return;
+        }
+        let out = arena.field.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+        if self.config.field_solver == FieldSolverKind::Multigrid {
+            session_multigrid().prepare(density, &mut arena.mg, out);
+        }
+    }
+
     /// Executes one *placement transformation* (section 4.1):
     /// density → force field → scale to `K(W+H)` → accumulate → re-solve.
     ///
     /// When a [`kraftwerk_trace`] sink is installed, each phase (density
-    /// map, Poisson solve, force assembly, CG x/y solves, metrics) runs
-    /// under a named span and the returned stats are also emitted as one
+    /// map, Poisson solve, force assembly, force scaling, CG x/y solves,
+    /// metrics) runs under a named span and the returned stats are also emitted as one
     /// `iteration` event, so a
     /// [`RunRecorder`](kraftwerk_trace::RunRecorder) yields one JSONL
     /// record per transformation with per-phase wall times attached.
@@ -488,9 +551,10 @@ impl<'a> PlacementSession<'a> {
     /// further heap allocation, and with the pure-clique net model (no
     /// linearization) the placement-independent system matrix, its
     /// diagonal, and the Jacobi preconditioners are assembled once and
-    /// cached. The x and y conjugate-gradient solves run concurrently when
-    /// more than one worker thread is configured; results are bitwise
-    /// identical at any thread count.
+    /// cached. The Poisson solve overlaps the system assembly, and the x
+    /// and y conjugate-gradient solves run concurrently, when more than
+    /// one worker thread is configured; results are bitwise identical at
+    /// any thread count.
     ///
     /// # Panics
     ///
@@ -520,6 +584,9 @@ impl<'a> PlacementSession<'a> {
         let core = self.netlist.core_region();
         let (nx, ny) = self.grid_dims();
         let lin_eps = self.linearization_eps();
+        // Every buffer the field and matrix branches below touch is sized
+        // here, on this thread, before they fork.
+        self.prepare_branches();
         let ScratchArena {
             assembly,
             asm,
@@ -554,8 +621,7 @@ impl<'a> PlacementSession<'a> {
         //    injected congestion/heat demand.
         let density_timer = kraftwerk_trace::span("place.density_map");
         let density_scope = PhaseScope::begin("place.density_map", tracing);
-        let density =
-            density_slot.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
+        let density = density_slot.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
         density_map_into(self.netlist, &self.placement, nx, ny, density, density_scratch);
         if let Some((map, weight)) = &self.demand {
             density.add_scaled(map, *weight);
@@ -581,113 +647,102 @@ impl<'a> PlacementSession<'a> {
         }
         density_scope.finish();
         density_timer.finish();
+        let density: &ScalarMap = density;
 
-        // 2. Force field (eq. 9 / Poisson solve).
-        let field_timer = kraftwerk_trace::span("place.field_solve");
-        let field_scope = PhaseScope::begin("place.field_solve", tracing);
-        let field: &ForceField = match self.config.field_solver {
-            FieldSolverKind::Multigrid => {
-                let solver = MultigridSolver {
-                    // Force directions only need a few correct digits; the
-                    // default 1e-7 residual target would spend V-cycles on
-                    // accuracy the displacement cap throws away.
-                    tolerance: 1e-4,
-                    ..MultigridSolver::new()
+        // 2 + 3. The force field (eq. 9 / Poisson solve) and the current
+        //    quadratic system both read only the placement, so they run
+        //    as the two branches of one join: the field on this thread,
+        //    the matrix on a worker, which then helps with the field's
+        //    row chunks. At one thread the join runs them inline, field
+        //    first.
+        let static_model = self
+            .system
+            .assembly_is_static(self.config.net_model, self.config.linearization);
+        let iteration = self.iteration;
+        let (system, netlist, placement) = (&self.system, self.netlist, &self.placement);
+        let extra_weights = self.extra_weights.as_deref();
+        let config = &self.config;
+        // The branches overlap in time and the heap counters are
+        // process-wide, so they share one resource bracket.
+        let branches_scope = PhaseScope::begin("place.field_and_matrix", tracing);
+        kraftwerk_par::join(
+            || {
+                let timer = kraftwerk_trace::span("place.field_solve");
+                let potential = match config.field_solver {
+                    FieldSolverKind::Multigrid => {
+                        let solver = session_multigrid();
+                        let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                        solver.solve_reusing(density, mg, out);
+                        snap_due.then(|| solver.potential_map(density, mg)).flatten()
+                    }
+                    FieldSolverKind::Spectral => {
+                        let solver = SpectralSolver::new();
+                        let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                        solver.solve_reusing(density, spectral, out);
+                        snap_due.then(|| solver.potential_map(density, spectral)).flatten()
+                    }
+                    FieldSolverKind::Hybrid => {
+                        let solver = kraftwerk_field::HybridSolver {
+                            // Same loosened residual target as the
+                            // multigrid arm.
+                            tolerance: 1e-4,
+                            ..kraftwerk_field::HybridSolver::new()
+                        };
+                        let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+                        solver.solve_reusing(density, hybrid, out);
+                        snap_due.then(|| solver.potential_map(density, hybrid)).flatten()
+                    }
+                    FieldSolverKind::Direct => {
+                        *field_slot = Some(DirectSolver::new().solve(density));
+                        None
+                    }
                 };
-                let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                solver.solve_reusing(density, mg, out);
-                if snap_due {
-                    if let Some(phi) = solver.potential_map(density, mg) {
-                        emit_grid_snapshot(
-                            kraftwerk_trace::SNAPSHOT_POTENTIAL,
-                            self.iteration,
-                            &phi,
-                        );
-                    }
+                if let Some(phi) = potential {
+                    emit_grid_snapshot(kraftwerk_trace::SNAPSHOT_POTENTIAL, iteration, &phi);
                 }
-                out
-            }
-            FieldSolverKind::Spectral => {
-                let solver = SpectralSolver::new();
-                let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                solver.solve_reusing(density, spectral, out);
-                if snap_due {
-                    if let Some(phi) = solver.potential_map(density, spectral) {
-                        emit_grid_snapshot(
-                            kraftwerk_trace::SNAPSHOT_POTENTIAL,
-                            self.iteration,
-                            &phi,
-                        );
-                    }
+                timer.finish();
+            },
+            || {
+                // Its diagonal is the per-cell stiffness the force scale
+                // must be expressed in. The pure clique model without
+                // linearization is placement-independent, so its matrix
+                // (and diagonal and preconditioner) survives across
+                // iterations until the net weights change.
+                let timer = kraftwerk_trace::span("place.force_assembly");
+                let rebuild = !(static_model && *asm_valid);
+                if rebuild {
+                    system.assemble_into(
+                        netlist,
+                        placement,
+                        extra_weights,
+                        config.net_model,
+                        lin_eps,
+                        asm,
+                        assembly,
+                    );
+                    *asm_valid = static_model;
+                    asm.cx.diagonal_into(diag_x);
+                    asm.cy.diagonal_into(diag_y);
                 }
-                out
-            }
-            FieldSolverKind::Hybrid => {
-                let solver = kraftwerk_field::HybridSolver {
-                    // Same loosened residual target as the multigrid arm:
-                    // force directions only need a few correct digits.
-                    tolerance: 1e-4,
-                    ..kraftwerk_field::HybridSolver::new()
-                };
-                let out = field_slot.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
-                solver.solve_reusing(density, hybrid, out);
-                if snap_due {
-                    if let Some(phi) = solver.potential_map(density, hybrid) {
-                        emit_grid_snapshot(
-                            kraftwerk_trace::SNAPSHOT_POTENTIAL,
-                            self.iteration,
-                            &phi,
-                        );
-                    }
+                // The watchdog ladder may demote the preconditioner
+                // mid-run; sync the slots before refreshing them against
+                // the current matrices.
+                let px_changed = px.set_kind(config.precond);
+                let py_changed = py.set_kind(config.precond);
+                if rebuild || px_changed || py_changed {
+                    px.refresh_from(&asm.cx);
+                    py.refresh_from(&asm.cy);
                 }
-                out
-            }
-            FieldSolverKind::Direct => {
-                *field_slot = Some(DirectSolver::new().solve(density));
-                field_slot.as_ref().expect("field stored above")
-            }
-        };
+                timer.finish();
+            },
+        );
+        branches_scope.finish();
+        let field: &ForceField = field_slot.as_ref().expect("field solved above");
         if tracing {
             // Deterministic per-solve summary (bitwise identical at any
             // thread count, unlike a wall-clock sample): the strongest
             // force the field produced this transformation.
             self.hists.field_magnitude.record(field.max_magnitude());
-        }
-        field_scope.finish();
-        field_timer.finish();
-
-        // 3. Assemble the current quadratic system; its diagonal is the
-        //    per-cell stiffness the force scale must be expressed in. The
-        //    pure clique model without linearization is placement-
-        //    independent, so its matrix (and diagonal and preconditioner)
-        //    survives across iterations until the net weights change.
-        let assembly_timer = kraftwerk_trace::span("place.force_assembly");
-        let assembly_scope = PhaseScope::begin("place.force_assembly", tracing);
-        let static_model = self
-            .system
-            .assembly_is_static(self.config.net_model, self.config.linearization);
-        let rebuild = !(static_model && *asm_valid);
-        if rebuild {
-            self.system.assemble_into(
-                self.netlist,
-                &self.placement,
-                self.extra_weights.as_deref(),
-                self.config.net_model,
-                lin_eps,
-                asm,
-                assembly,
-            );
-            *asm_valid = static_model;
-            asm.cx.diagonal_into(diag_x);
-            asm.cy.diagonal_into(diag_y);
-        }
-        // The watchdog ladder may demote the preconditioner mid-run; sync
-        // the slots before refreshing them against the current matrices.
-        let px_changed = px.set_kind(self.config.precond);
-        let py_changed = py.set_kind(self.config.precond);
-        if rebuild || px_changed || py_changed {
-            px.refresh_from(&asm.cx);
-            py.refresh_from(&asm.cy);
         }
 
         // 4. Scale per section 4.1: the strongest force equals the pull of
@@ -698,13 +753,14 @@ impl<'a> PlacementSession<'a> {
         //    raw force keeps the step size meaningful under GORDIAN-L
         //    linearization, where edge weights — and with them all force
         //    units — shrink with 1/length.)
+        let scale_timer = kraftwerk_trace::span("place.force_scale");
+        let scale_scope = PhaseScope::begin("place.force_scale", tracing);
         let n = self.system.num_movable();
         // Robust stiffness floor: cells that are barely connected (only
         // the regularization anchor) must not collapse the global scale.
         stiffness.clear();
         stiffness.extend(diag_x.iter().zip(diag_y.iter()).map(|(a, b)| 0.5 * (a + b)));
-        stiffness.sort_by(f64::total_cmp);
-        let median_stiffness = stiffness[stiffness.len() / 2].max(1e-12);
+        let median_stiffness = upper_median(stiffness).max(1e-12);
         let floor = 0.05 * median_stiffness;
         raw.clear();
         let mut max_disp = 0.0f64;
@@ -811,8 +867,8 @@ impl<'a> PlacementSession<'a> {
             bx.push(-asm.dx[i] + hx[i] + f.x);
             by.push(-asm.dy[i] + hy[i] + f.y);
         }
-        assembly_scope.finish();
-        assembly_timer.finish();
+        scale_scope.finish();
+        scale_timer.finish();
 
         // 6. Solve, warm-started from the current placement. The x and y
         //    systems are independent, so the two conjugate-gradient solves
@@ -1436,6 +1492,7 @@ impl GlobalPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetModel;
     use kraftwerk_netlist::synth::{generate, SynthConfig};
     use kraftwerk_netlist::{metrics, NetlistBuilder, PinDirection};
 
@@ -1491,6 +1548,75 @@ mod tests {
             session.scratch_capacity_signature(),
             "steady-state transformations must not grow the scratch arena"
         );
+    }
+
+    #[test]
+    fn first_transformation_grows_nothing_after_the_prepare_step() {
+        let nl = small();
+        for config in [
+            KraftwerkConfig::standard(),
+            KraftwerkConfig::fast().with_net_model(NetModel::B2B),
+        ] {
+            let mut session = PlacementSession::new(&nl, config);
+            session.prepare_branches();
+            let prepared = session.arena.branch_capacity_signature();
+            session.transform();
+            assert_eq!(
+                prepared,
+                session.arena.branch_capacity_signature(),
+                "a buffer of the field or matrix branch grew after the prepare step"
+            );
+        }
+    }
+
+    #[test]
+    fn upper_median_is_the_sorted_median_bit_for_bit() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let palette = [-0.0, 0.0, 1.5, -2.25, 1e-300, 3.0, 3.0, f64::MIN_POSITIVE];
+        for len in 1..40 {
+            let values: Vec<f64> = (0..len)
+                .map(|_| palette[(next() % palette.len() as u64) as usize])
+                .collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let mut selected = values.clone();
+            assert_eq!(
+                upper_median(&mut selected).to_bits(),
+                sorted[len / 2].to_bits(),
+                "median of {values:?}"
+            );
+        }
+        // The signed zeros are distinct under the total order.
+        assert_eq!(upper_median(&mut [0.0, -0.0, -0.0]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(upper_median(&mut [0.0, -0.0, 0.0]).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn b2b_placement_with_chunked_multigrid_is_thread_count_invariant() {
+        // 150 cells resolve to a 129-vertex solve grid: the finest level
+        // smooths in two row chunks while the matrix branch overlaps it.
+        let nl = small();
+        let run = |threads: usize| {
+            kraftwerk_par::set_threads(threads);
+            let mut session =
+                PlacementSession::new(&nl, KraftwerkConfig::fast().with_net_model(NetModel::B2B));
+            // Two vertices per bin across a 2x padded domain: more than 16
+            // bins need a solve grid above the 65-vertex inline limit.
+            let (nx, ny) = session.grid_dims();
+            assert!(nx.max(ny) > 16, "grid {nx}x{ny} too small to chunk");
+            let stats: Vec<IterationStats> = (0..6).map(|_| session.transform()).collect();
+            (session.placement().clone(), stats)
+        };
+        let one = run(1);
+        let two = run(2);
+        let eight = run(8);
+        kraftwerk_par::set_threads(0);
+        assert_eq!(one, two, "1 vs 2 threads");
+        assert_eq!(one, eight, "1 vs 8 threads");
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl ForceField {
         &self.fy
     }
 
+    /// Bins per component the field holds without reallocating.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.fx.capacity().min(self.fy.capacity())
+    }
+
     /// The largest force magnitude over all bins. Section 4.1 scales the
     /// field so this equals the force of a net of length `K(W+H)`.
     #[must_use]

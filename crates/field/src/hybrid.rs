@@ -14,9 +14,10 @@
 //! semantics as [`MultigridSolver`]) in fewer cycles than a zero initial
 //! guess.
 //!
-//! Determinism: the restriction, prolongation and V-cycles are serial,
-//! and the coarse DST solve uses the same fixed-chunk parallel kernel as
-//! the spectral backend, so results are bitwise identical at any
+//! Determinism: the restriction and V-cycles share the multigrid
+//! backend's fixed row-chunk kernels, the prolongation is serial, and the
+//! coarse DST solve uses the same fixed-chunk parallel kernel as the
+//! spectral backend, so results are bitwise identical at any
 //! `KRAFTWERK_THREADS` setting.
 
 use crate::field::{FieldSolver, ForceField};
@@ -63,17 +64,17 @@ impl HybridSolver {
 }
 
 /// Reusable buffers for [`HybridSolver::solve_reusing`]: the fine-grid
-/// RHS/potential/residual and V-cycle scratch, plus the coarse-grid RHS,
-/// potential and DST kernel for the spectral seed. All grow-only, so
-/// holding one across placement iterations makes the steady-state hybrid
-/// solve allocation-free. The solved potential and its [`SavedSolve`]
+/// RHS/potential, smoother halo rows and V-cycle scratch, plus the
+/// coarse-grid RHS, potential and DST kernel for the spectral seed. All
+/// grow-only, so holding one across placement iterations makes the
+/// steady-state hybrid solve allocation-free. The solved potential and its [`SavedSolve`]
 /// geometry record stay behind for [`HybridSolver::potential_map`].
 #[derive(Debug, Default)]
 pub struct HybridWorkspace {
     kernel: DstKernel,
     rhs: Vec<f64>,
     phi: Vec<f64>,
-    resid: Vec<f64>,
+    halo: Vec<f64>,
     depth: Vec<VcycleBufs>,
     coarse_rhs: Vec<f64>,
     coarse_phi: Vec<f64>,
@@ -97,7 +98,7 @@ impl HybridSolver {
         let SolveGrid { m, h, .. } = solve_grid;
         let m_coarse = m.div_ceil(2);
 
-        let HybridWorkspace { kernel, rhs, phi, resid, depth, coarse_rhs, coarse_phi, saved } = ws;
+        let HybridWorkspace { kernel, rhs, phi, halo, depth, coarse_rhs, coarse_phi, saved } = ws;
         grid::deposit_rhs(density, &solve_grid, rhs);
         phi.clear();
         phi.resize(m * m, 0.0);
@@ -112,7 +113,7 @@ impl HybridSolver {
             // grid, solve it exactly with the DST kernel, prolong the
             // coarse potential as the fine initial guess (FMG-style).
             let t0 = tracing.then(std::time::Instant::now);
-            coarse_rhs.resize(m_coarse * m_coarse, 0.0); // restrict() zero-fills
+            coarse_rhs.resize(m_coarse * m_coarse, 0.0); // restrict() overwrites every entry
             multigrid::restrict(m, rhs, coarse_rhs);
             coarse_phi.clear();
             coarse_phi.resize(m_coarse * m_coarse, 0.0);
@@ -127,8 +128,8 @@ impl HybridSolver {
                 h,
                 phi,
                 rhs,
-                resid,
                 depth,
+                halo,
                 rhs_norm,
                 self.tolerance,
                 self.max_cycles,
@@ -310,7 +311,7 @@ mod tests {
         let caps = (
             ws.rhs.capacity(),
             ws.phi.capacity(),
-            ws.resid.capacity(),
+            ws.halo.capacity(),
             ws.depth.len(),
             ws.coarse_rhs.capacity(),
             ws.coarse_phi.capacity(),
@@ -321,7 +322,7 @@ mod tests {
             (
                 ws.rhs.capacity(),
                 ws.phi.capacity(),
-                ws.resid.capacity(),
+                ws.halo.capacity(),
                 ws.depth.len(),
                 ws.coarse_rhs.capacity(),
                 ws.coarse_phi.capacity(),

@@ -100,6 +100,11 @@ impl ScalarMap {
         &self.values
     }
 
+    /// Bins the map holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.values.capacity()
+    }
+
     /// `true` when every bin value is finite. The watchdog uses this as a
     /// cheap sanity gate before trusting a density or potential field.
     #[must_use]

@@ -59,67 +59,240 @@ struct Level {
     h: f64,
 }
 
+/// Rows per parallel chunk of the grid kernels (smoother, residual,
+/// restriction). A constant, so chunk boundaries depend only on the grid
+/// size and every kernel is bitwise identical at any thread count.
+const ROW_CHUNK: usize = 64;
+
+/// Grids with at most this many vertices per side run every kernel
+/// inline: their whole interior fits in one row chunk.
+const INLINE_MAX_VERTICES: usize = 65;
+
+/// Whether an `m`-vertex grid splits its kernels into row chunks.
+fn chunked(m: usize) -> bool {
+    m > INLINE_MAX_VERTICES
+}
+
+/// Interior rows `[lo, hi)` of row chunk `c` on an `m`-vertex grid.
+fn chunk_rows(m: usize, c: usize) -> (usize, usize) {
+    let lo = 1 + c * ROW_CHUNK;
+    (lo, (lo + ROW_CHUNK).min(m - 1))
+}
+
+/// Number of row chunks covering the interior of an `m`-vertex grid.
+fn row_chunks(m: usize) -> usize {
+    kraftwerk_par::chunk_count(m - 2, ROW_CHUNK)
+}
+
+/// Doubles of halo scratch the chunked smoother needs on an `m`-vertex
+/// grid: the row below and the row above every chunk.
+fn halo_len(m: usize) -> usize {
+    if chunked(m) {
+        2 * row_chunks(m) * m
+    } else {
+        0
+    }
+}
+
+/// One Gauss-Seidel update of every other point of an interior row,
+/// starting at column `start`; `below` and `above` are the neighbouring
+/// rows. Reads only points of the other color, so the order in which the
+/// rows of one color are relaxed never changes a value.
+#[inline]
+fn relax_row(row: &mut [f64], below: &[f64], above: &[f64], rhs_row: &[f64], start: usize, h2: f64) {
+    let m = row.len();
+    let (below, above, rhs_row) = (&below[..m], &above[..m], &rhs_row[..m]);
+    let mut i = start;
+    while i < m - 1 {
+        let nb = row[i - 1] + row[i + 1] + below[i] + above[i];
+        row[i] = 0.25 * (nb - h2 * rhs_row[i]);
+        i += 2;
+    }
+}
+
+/// First column of color `color` (0 = red, 1 = black) in row `j`.
+fn color_start(j: usize, color: usize) -> usize {
+    1 + (j + color) % 2
+}
+
+/// Relaxes color `color` of interior row `j` of the full grid `phi`.
+fn relax_grid_row(m: usize, phi: &mut [f64], rhs: &[f64], j: usize, color: usize, h2: f64) {
+    let (head, tail) = phi.split_at_mut(j * m);
+    let (row, rest) = tail.split_at_mut(m);
+    relax_row(
+        row,
+        &head[(j - 1) * m..],
+        &rest[..m],
+        &rhs[j * m..(j + 1) * m],
+        color_start(j, color),
+        h2,
+    );
+}
+
 /// Red-black Gauss-Seidel sweeps for `ΔΦ = rhs` (5-point stencil, zero
 /// Dirichlet boundary).
-fn smooth(level: &Level, phi: &mut [f64], rhs: &[f64], sweeps: usize) {
+///
+/// Large grids sweep in [`ROW_CHUNK`]-row chunks on the worker pool:
+/// within a chunk the smoother relaxes red row `j`, then black row `j-1`,
+/// so each sweep streams the grid once; the black rows at chunk edges
+/// (whose red neighbours belong to the next chunk) follow in a second
+/// pass. Red points read only black ones and vice versa, so every point
+/// sees exactly the values the plain all-red-then-all-black sweep gives
+/// it — the result is bitwise identical to it at any thread count.
+fn smooth(level: &Level, phi: &mut [f64], rhs: &[f64], sweeps: usize, halo: &mut Vec<f64>) {
     let m = level.m;
     let h2 = level.h * level.h;
     for _ in 0..sweeps {
-        for color in 0..2 {
-            for j in 1..m - 1 {
-                let start = 1 + (j + color) % 2;
-                let mut i = start;
-                while i < m - 1 {
-                    let nb = phi[idx(m, i - 1, j)]
-                        + phi[idx(m, i + 1, j)]
-                        + phi[idx(m, i, j - 1)]
-                        + phi[idx(m, i, j + 1)];
-                    phi[idx(m, i, j)] = 0.25 * (nb - h2 * rhs[idx(m, i, j)]);
-                    i += 2;
+        if !chunked(m) {
+            for color in 0..2 {
+                for j in 1..m - 1 {
+                    relax_grid_row(m, phi, rhs, j, color, h2);
                 }
+            }
+            continue;
+        }
+        // The rows bordering each chunk, copied before the sweep: the
+        // first pass reads only their black points, which no chunk
+        // relaxes until the second pass.
+        halo.clear();
+        for c in 0..row_chunks(m) {
+            let (lo, hi) = chunk_rows(m, c);
+            halo.extend_from_slice(&phi[(lo - 1) * m..lo * m]);
+            halo.extend_from_slice(&phi[hi * m..(hi + 1) * m]);
+        }
+        let halo = &halo[..];
+        kraftwerk_par::for_each_chunk_mut(&mut phi[m..(m - 1) * m], ROW_CHUNK * m, |c, band| {
+            let (lo, _) = chunk_rows(m, c);
+            let rows = band.len() / m;
+            let edge_below = &halo[2 * c * m..(2 * c + 1) * m];
+            let edge_above = &halo[(2 * c + 1) * m..(2 * c + 2) * m];
+            for r in 0..rows {
+                let j = lo + r;
+                let (head, tail) = band.split_at_mut(r * m);
+                let (row, rest) = tail.split_at_mut(m);
+                let below = if r == 0 { edge_below } else { &head[(r - 1) * m..] };
+                let above = if r + 1 == rows { edge_above } else { &rest[..m] };
+                relax_row(row, below, above, &rhs[j * m..(j + 1) * m], color_start(j, 0), h2);
+                if r >= 2 {
+                    // Black row j-1: its red neighbours (rows j-2 and j)
+                    // are both relaxed by now, and it is no chunk edge.
+                    let (head, tail) = band.split_at_mut((r - 1) * m);
+                    let (row, rest) = tail.split_at_mut(m);
+                    relax_row(
+                        row,
+                        &head[(r - 2) * m..],
+                        &rest[..m],
+                        &rhs[(j - 1) * m..j * m],
+                        color_start(j - 1, 1),
+                        h2,
+                    );
+                }
+            }
+        });
+        for c in 0..row_chunks(m) {
+            let (lo, hi) = chunk_rows(m, c);
+            relax_grid_row(m, phi, rhs, lo, 1, h2);
+            if hi - 1 > lo {
+                relax_grid_row(m, phi, rhs, hi - 1, 1, h2);
             }
         }
     }
 }
 
-/// Residual `r = rhs - ΔΦ` on the interior (zero on the boundary).
+/// Residual `rhs - ΔΦ` at interior vertex `(i, j)`.
+#[inline]
+fn residual_at(m: usize, inv_h2: f64, phi: &[f64], rhs: &[f64], i: usize, j: usize) -> f64 {
+    let lap = (phi[idx(m, i - 1, j)]
+        + phi[idx(m, i + 1, j)]
+        + phi[idx(m, i, j - 1)]
+        + phi[idx(m, i, j + 1)]
+        - 4.0 * phi[idx(m, i, j)])
+        * inv_h2;
+    rhs[idx(m, i, j)] - lap
+}
+
+/// Residual `r = rhs - ΔΦ` on the interior (zero on the boundary), in
+/// row chunks on the worker pool for large grids.
 fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
     let m = level.m;
     let inv_h2 = 1.0 / (level.h * level.h);
-    r.fill(0.0);
-    for j in 1..m - 1 {
-        for i in 1..m - 1 {
-            let lap = (phi[idx(m, i - 1, j)]
-                + phi[idx(m, i + 1, j)]
-                + phi[idx(m, i, j - 1)]
-                + phi[idx(m, i, j + 1)]
-                - 4.0 * phi[idx(m, i, j)])
-                * inv_h2;
-            r[idx(m, i, j)] = rhs[idx(m, i, j)] - lap;
+    let fill_rows = |lo: usize, rows: &mut [f64]| {
+        for (k, row) in rows.chunks_exact_mut(m).enumerate() {
+            let j = lo + k;
+            row[0] = 0.0;
+            row[m - 1] = 0.0;
+            for (i, v) in row.iter_mut().enumerate().take(m - 1).skip(1) {
+                *v = residual_at(m, inv_h2, phi, rhs, i, j);
+            }
         }
+    };
+    r[..m].fill(0.0);
+    r[(m - 1) * m..].fill(0.0);
+    let interior = &mut r[m..(m - 1) * m];
+    if chunked(m) {
+        kraftwerk_par::for_each_chunk_mut(interior, ROW_CHUNK * m, |c, rows| {
+            fill_rows(chunk_rows(m, c).0, rows);
+        });
+    } else {
+        fill_rows(1, interior);
     }
 }
 
+/// `‖rhs - ΔΦ‖₂` without storing the residual. Squares are summed in
+/// row-major order over the whole grid (boundary zeros included), the
+/// order a sum over a stored residual uses, so the convergence test sees
+/// the same bits.
+fn residual_norm(level: &Level, phi: &[f64], rhs: &[f64]) -> f64 {
+    let m = level.m;
+    let inv_h2 = 1.0 / (level.h * level.h);
+    (0..m)
+        .flat_map(|j| {
+            (0..m).map(move |i| {
+                if i == 0 || j == 0 || i == m - 1 || j == m - 1 {
+                    0.0
+                } else {
+                    residual_at(m, inv_h2, phi, rhs, i, j)
+                }
+            })
+        })
+        .map(|v| v * v)
+        .sum::<f64>()
+        .sqrt()
+}
+
 /// Full-weighting restriction from a fine grid (m) to the coarse grid
-/// ((m+1)/2).
+/// ((m+1)/2), in coarse-row chunks on the worker pool for large grids.
 pub(crate) fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
     let m_coarse = m_fine.div_ceil(2);
-    coarse.fill(0.0);
-    for jc in 1..m_coarse - 1 {
-        for ic in 1..m_coarse - 1 {
-            let i = 2 * ic;
-            let j = 2 * jc;
-            let center = fine[idx(m_fine, i, j)];
-            let edges = fine[idx(m_fine, i - 1, j)]
-                + fine[idx(m_fine, i + 1, j)]
-                + fine[idx(m_fine, i, j - 1)]
-                + fine[idx(m_fine, i, j + 1)];
-            let corners = fine[idx(m_fine, i - 1, j - 1)]
-                + fine[idx(m_fine, i + 1, j - 1)]
-                + fine[idx(m_fine, i - 1, j + 1)]
-                + fine[idx(m_fine, i + 1, j + 1)];
-            coarse[idx(m_coarse, ic, jc)] = 0.25 * center + 0.125 * edges + 0.0625 * corners;
+    let fill_rows = |jc_lo: usize, rows: &mut [f64]| {
+        for (k, row) in rows.chunks_exact_mut(m_coarse).enumerate() {
+            let j = 2 * (jc_lo + k);
+            row[0] = 0.0;
+            row[m_coarse - 1] = 0.0;
+            for (ic, v) in row.iter_mut().enumerate().take(m_coarse - 1).skip(1) {
+                let i = 2 * ic;
+                let center = fine[idx(m_fine, i, j)];
+                let edges = fine[idx(m_fine, i - 1, j)]
+                    + fine[idx(m_fine, i + 1, j)]
+                    + fine[idx(m_fine, i, j - 1)]
+                    + fine[idx(m_fine, i, j + 1)];
+                let corners = fine[idx(m_fine, i - 1, j - 1)]
+                    + fine[idx(m_fine, i + 1, j - 1)]
+                    + fine[idx(m_fine, i - 1, j + 1)]
+                    + fine[idx(m_fine, i + 1, j + 1)];
+                *v = 0.25 * center + 0.125 * edges + 0.0625 * corners;
+            }
         }
+    };
+    coarse[..m_coarse].fill(0.0);
+    coarse[(m_coarse - 1) * m_coarse..].fill(0.0);
+    let interior = &mut coarse[m_coarse..(m_coarse - 1) * m_coarse];
+    if chunked(m_fine) {
+        kraftwerk_par::for_each_chunk_mut(interior, ROW_CHUNK * m_coarse, |c, rows| {
+            fill_rows(chunk_rows(m_coarse, c).0, rows);
+        });
+    } else {
+        fill_rows(1, interior);
     }
 }
 
@@ -184,18 +357,63 @@ pub(crate) struct VcycleBufs {
     coarse_phi: Vec<f64>,
 }
 
-/// Reusable buffers for [`MultigridSolver::solve_reusing`]: fine-grid RHS,
-/// potential and residual plus per-depth V-cycle scratch. Holding one of
-/// these across placement iterations makes the steady-state Poisson solve
-/// allocation-free. The solved potential and its [`SavedSolve`] geometry
-/// record stay behind for [`MultigridSolver::potential_map`].
+/// Grows `v` so it holds `total` elements without reallocating.
+fn reserve_total(v: &mut Vec<f64>, total: usize) {
+    v.reserve_exact(total.saturating_sub(v.len()));
+}
+
+/// Sizes the V-cycle scratch of an `m`-vertex solve: one [`VcycleBufs`]
+/// per level and the smoother's halo rows. After this a
+/// [`vcycle_to_tolerance`] call on the same grid allocates nothing.
+pub(crate) fn reserve_vcycle(m: usize, depth: &mut Vec<VcycleBufs>, halo: &mut Vec<f64>) {
+    if depth.len() < level_count(m) {
+        depth.resize_with(level_count(m), VcycleBufs::default);
+    }
+    reserve_total(halo, halo_len(m));
+    let mut m_level = m;
+    for bufs in depth.iter_mut() {
+        if m_level <= 5 {
+            break;
+        }
+        let m_coarse = m_level.div_ceil(2);
+        reserve_total(&mut bufs.r, m_level * m_level);
+        reserve_total(&mut bufs.coarse_rhs, m_coarse * m_coarse);
+        reserve_total(&mut bufs.coarse_phi, m_coarse * m_coarse);
+        m_level = m_coarse;
+    }
+}
+
+/// Reusable buffers for [`MultigridSolver::solve_reusing`]: fine-grid RHS
+/// and potential, the smoother's halo rows and per-depth V-cycle scratch.
+/// Holding one of these across placement iterations makes the
+/// steady-state Poisson solve allocation-free. The solved potential and
+/// its [`SavedSolve`] geometry record stay behind for
+/// [`MultigridSolver::potential_map`].
 #[derive(Debug, Default)]
 pub struct MultigridWorkspace {
     rhs: Vec<f64>,
     phi: Vec<f64>,
-    resid: Vec<f64>,
+    halo: Vec<f64>,
     depth: Vec<VcycleBufs>,
     saved: Option<SavedSolve>,
+}
+
+impl MultigridWorkspace {
+    /// Capacities of every grid buffer, in a fixed order. Two equal
+    /// signatures around a solve prove it allocated nothing.
+    #[must_use]
+    pub fn capacity_signature(&self) -> Vec<usize> {
+        let mut out = vec![
+            self.rhs.capacity(),
+            self.phi.capacity(),
+            self.halo.capacity(),
+            self.depth.len(),
+        ];
+        for bufs in &self.depth {
+            out.extend([bufs.r.capacity(), bufs.coarse_rhs.capacity(), bufs.coarse_phi.capacity()]);
+        }
+        out
+    }
 }
 
 /// Runs V-cycles on `phi` (which may carry an initial guess) until the
@@ -209,23 +427,19 @@ pub(crate) fn vcycle_to_tolerance(
     h: f64,
     phi: &mut [f64],
     rhs: &[f64],
-    resid: &mut Vec<f64>,
     depth: &mut Vec<VcycleBufs>,
+    halo: &mut Vec<f64>,
     rhs_norm: f64,
     tolerance: f64,
     max_cycles: usize,
     mut residuals: Option<&mut Vec<f64>>,
 ) -> bool {
     let level = Level { m, h };
-    if depth.len() < level_count(m) {
-        depth.resize_with(level_count(m), VcycleBufs::default);
-    }
-    resid.resize(m * m, 0.0); // residual() zero-fills
+    reserve_vcycle(m, depth, halo);
     let mut converged = false;
     for _ in 0..max_cycles {
-        vcycle(&level, phi, rhs, depth);
-        residual(&level, phi, rhs, resid);
-        let rn: f64 = resid.iter().map(|v| v * v).sum::<f64>().sqrt();
+        vcycle(&level, phi, rhs, depth, halo);
+        let rn = residual_norm(&level, phi, rhs);
         if let Some(out) = residuals.as_deref_mut() {
             out.push(rn / rhs_norm);
         }
@@ -237,28 +451,28 @@ pub(crate) fn vcycle_to_tolerance(
     converged
 }
 
-fn vcycle(level: &Level, phi: &mut [f64], rhs: &[f64], depth: &mut [VcycleBufs]) {
+fn vcycle(level: &Level, phi: &mut [f64], rhs: &[f64], depth: &mut [VcycleBufs], halo: &mut Vec<f64>) {
     let m = level.m;
     if m <= 5 {
-        smooth(level, phi, rhs, 50);
+        smooth(level, phi, rhs, 50, halo);
         return;
     }
-    smooth(level, phi, rhs, 2);
+    smooth(level, phi, rhs, 2, halo);
     let (bufs, rest) = depth.split_first_mut().expect("vcycle scratch depth");
-    bufs.r.resize(m * m, 0.0); // residual() zero-fills
+    bufs.r.resize(m * m, 0.0); // residual() overwrites every entry
     residual(level, phi, rhs, &mut bufs.r);
     let m_coarse = m.div_ceil(2);
     let coarse_level = Level {
         m: m_coarse,
         h: level.h * 2.0,
     };
-    bufs.coarse_rhs.resize(m_coarse * m_coarse, 0.0); // restrict() zero-fills
+    bufs.coarse_rhs.resize(m_coarse * m_coarse, 0.0); // restrict() overwrites every entry
     restrict(m, &bufs.r, &mut bufs.coarse_rhs);
     bufs.coarse_phi.clear();
     bufs.coarse_phi.resize(m_coarse * m_coarse, 0.0);
-    vcycle(&coarse_level, &mut bufs.coarse_phi, &bufs.coarse_rhs, rest);
+    vcycle(&coarse_level, &mut bufs.coarse_phi, &bufs.coarse_rhs, rest, halo);
     prolong_add(m_coarse, &bufs.coarse_phi, phi);
-    smooth(level, phi, rhs, 2);
+    smooth(level, phi, rhs, 2, halo);
 }
 
 impl MultigridSolver {
@@ -279,7 +493,7 @@ impl MultigridSolver {
         let solve_grid = SolveGrid::for_density(density, self.padding, self.max_vertices);
         let SolveGrid { m, h, .. } = solve_grid;
 
-        let MultigridWorkspace { rhs, phi, resid, depth, saved } = ws;
+        let MultigridWorkspace { rhs, phi, halo, depth, saved } = ws;
         grid::deposit_rhs(density, &solve_grid, rhs);
 
         let rhs_norm: f64 = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -296,8 +510,8 @@ impl MultigridSolver {
                 h,
                 phi,
                 rhs,
-                resid,
                 depth,
+                halo,
                 rhs_norm,
                 self.tolerance,
                 self.max_cycles,
@@ -324,6 +538,18 @@ impl MultigridSolver {
             padding: self.padding,
             max_vertices: self.max_vertices,
         });
+    }
+
+    /// Sizes every buffer of `ws` that [`solve_reusing`](Self::solve_reusing)
+    /// on `density` would grow, and reshapes `out` to the density grid, so
+    /// that solve allocates nothing. Lets a caller that hands the solve to
+    /// another thread keep every allocation on its own.
+    pub fn prepare(&self, density: &ScalarMap, ws: &mut MultigridWorkspace, out: &mut ForceField) {
+        let m = SolveGrid::for_density(density, self.padding, self.max_vertices).m;
+        reserve_total(&mut ws.rhs, m * m);
+        reserve_total(&mut ws.phi, m * m);
+        reserve_vcycle(m, &mut ws.depth, &mut ws.halo);
+        out.reset(density.region(), density.nx(), density.ny());
     }
 
     /// Samples the Poisson potential φ left in `ws` by the most recent
@@ -555,13 +781,130 @@ mod tests {
         solver.solve_reusing(&d, &mut ws, &mut out);
         assert_eq!(out, reference, "in-place solve diverged from solve()");
         // Second solve with the same workspace must not regrow any buffer.
-        let caps = (ws.rhs.capacity(), ws.phi.capacity(), ws.resid.capacity(), ws.depth.len());
+        let caps = ws.capacity_signature();
         solver.solve_reusing(&d, &mut ws, &mut out);
-        assert_eq!(
-            caps,
-            (ws.rhs.capacity(), ws.phi.capacity(), ws.resid.capacity(), ws.depth.len())
-        );
+        assert_eq!(caps, ws.capacity_signature());
         assert_eq!(out, reference);
+    }
+
+    /// The plain red-black sweep the chunked smoother must reproduce bit
+    /// for bit: every red point, then every black point, row by row.
+    fn reference_smooth(m: usize, h: f64, phi: &mut [f64], rhs: &[f64], sweeps: usize) {
+        let h2 = h * h;
+        for _ in 0..sweeps {
+            for color in 0..2 {
+                for j in 1..m - 1 {
+                    let mut i = 1 + (j + color) % 2;
+                    while i < m - 1 {
+                        let nb = phi[idx(m, i - 1, j)]
+                            + phi[idx(m, i + 1, j)]
+                            + phi[idx(m, i, j - 1)]
+                            + phi[idx(m, i, j + 1)];
+                        phi[idx(m, i, j)] = 0.25 * (nb - h2 * rhs[idx(m, i, j)]);
+                        i += 2;
+                    }
+                }
+            }
+        }
+    }
+
+    fn lcg_grid(m: usize, seed: u64) -> Vec<f64> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut g: Vec<f64> = (0..m * m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for k in 0..m {
+            g[idx(m, k, 0)] = 0.0;
+            g[idx(m, k, m - 1)] = 0.0;
+            g[idx(m, 0, k)] = 0.0;
+            g[idx(m, m - 1, k)] = 0.0;
+        }
+        g
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn chunked_kernels_match_the_serial_reference_at_every_thread_count() {
+        // 257 and 513 vertices split into 4 and 8 row chunks (the last
+        // one short); 65 stays inline.
+        for m in [65usize, 257, 513] {
+            let h = 0.37;
+            let rhs = lcg_grid(m, 1);
+            let start = lcg_grid(m, 2);
+            let mut expect_phi = start.clone();
+            reference_smooth(m, h, &mut expect_phi, &rhs, 3);
+            let level = Level { m, h };
+            let inv_h2 = 1.0 / (h * h);
+            let mut expect_r = vec![0.0; m * m];
+            for j in 1..m - 1 {
+                for i in 1..m - 1 {
+                    expect_r[idx(m, i, j)] = residual_at(m, inv_h2, &expect_phi, &rhs, i, j);
+                }
+            }
+            let expect_norm = expect_r.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let m_coarse = m.div_ceil(2);
+            kraftwerk_par::set_threads(1);
+            let mut expect_coarse = vec![f64::NAN; m_coarse * m_coarse];
+            restrict(m, &expect_r, &mut expect_coarse);
+            assert!(expect_coarse.iter().all(|v| v.is_finite()), "restrict left a hole");
+            for threads in [1usize, 2, 8] {
+                kraftwerk_par::set_threads(threads);
+                let mut phi = start.clone();
+                let mut halo = Vec::new();
+                smooth(&level, &mut phi, &rhs, 3, &mut halo);
+                assert_eq!(bits(&phi), bits(&expect_phi), "smooth m={m} threads={threads}");
+                let mut r = vec![f64::NAN; m * m];
+                residual(&level, &phi, &rhs, &mut r);
+                assert_eq!(bits(&r), bits(&expect_r), "residual m={m} threads={threads}");
+                assert_eq!(
+                    residual_norm(&level, &phi, &rhs).to_bits(),
+                    expect_norm.to_bits(),
+                    "norm m={m} threads={threads}"
+                );
+                let mut coarse = vec![f64::NAN; m_coarse * m_coarse];
+                restrict(m, &r, &mut coarse);
+                assert_eq!(bits(&coarse), bits(&expect_coarse), "restrict m={m} threads={threads}");
+            }
+        }
+        kraftwerk_par::set_threads(0);
+    }
+
+    #[test]
+    fn solve_reusing_is_bitwise_identical_at_every_thread_count() {
+        // 64 bins across a 2x padded domain resolve to a 257-vertex grid,
+        // so the V-cycle's two finest levels run in row chunks.
+        let d = random_balanced_density(19, 64);
+        let solver = MultigridSolver::new();
+        let run = |threads: usize| {
+            kraftwerk_par::set_threads(threads);
+            let mut ws = MultigridWorkspace::default();
+            let mut out = ForceField::zeros(d.region(), d.nx(), d.ny());
+            solver.solve_reusing(&d, &mut ws, &mut out);
+            assert_eq!(ws.phi.len(), 257 * 257, "grid too small to chunk");
+            let phi = solver.potential_map(&d, &ws).expect("potential after solve");
+            (out, bits(phi.values()))
+        };
+        let (f1, p1) = run(1);
+        for threads in [2usize, 8] {
+            let (f, p) = run(threads);
+            assert_eq!(bits(f.fx().values()), bits(f1.fx().values()), "fx at {threads} threads");
+            assert_eq!(bits(f.fy().values()), bits(f1.fy().values()), "fy at {threads} threads");
+            assert_eq!(p, p1, "potential at {threads} threads");
+        }
+        kraftwerk_par::set_threads(0);
+    }
+
+    #[test]
+    fn prepare_sizes_every_buffer_the_solve_touches() {
+        let d = random_balanced_density(29, 64);
+        let solver = MultigridSolver::new();
+        let mut ws = MultigridWorkspace::default();
+        let mut out = ForceField::zeros(d.region(), 1, 1);
+        solver.prepare(&d, &mut ws, &mut out);
+        let caps = ws.capacity_signature();
+        solver.solve_reusing(&d, &mut ws, &mut out);
+        assert_eq!(caps, ws.capacity_signature(), "solve grew a prepared buffer");
     }
 
     #[test]

@@ -114,11 +114,16 @@ pub fn run_chunks(n_chunks: usize, run: &(dyn Fn(usize) + Sync)) {
     let timed = kraftwerk_trace::enabled();
     if threads <= 1 || n_chunks == 1 {
         let start = timed.then(std::time::Instant::now);
+        let scope = pool::ChunkScope::enter();
         for i in 0..n_chunks {
             run(i);
         }
         if let Some(start) = start {
-            let busy = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let busy = if scope.outermost() {
+                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+            } else {
+                0
+            };
             pool::record_inline(busy, n_chunks as u64);
         }
         return;
@@ -227,7 +232,10 @@ pub fn par_map_reduce<R: Send>(
 /// [`UtilizationSnapshot::since`] to get the utilization of one span.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UtilizationSnapshot {
-    /// Busy nanoseconds per slot, trimmed to the last non-zero slot.
+    /// Busy nanoseconds per slot, trimmed to the last non-zero slot: the
+    /// wall time of the outermost chunk bodies the slot ran. A chunk body
+    /// that fans out again already covers its nested chunks, so those
+    /// add chunk counts but no busy time of their own.
     pub busy_ns: Vec<u64>,
     /// Chunk-body executions per slot, trimmed like `busy_ns`.
     pub chunks: Vec<u64>,
@@ -308,7 +316,9 @@ impl UtilizationSnapshot {
 
 /// Runs two independent closures, concurrently when more than one thread
 /// is configured, and returns both results. Used for the x/y conjugate
-/// gradient solves, which are independent linear systems.
+/// gradient solves, which are independent linear systems, and for the
+/// Poisson solve beside the system assembly. At one thread `a` runs
+/// first, then `b`.
 ///
 /// # Panics
 ///
@@ -549,6 +559,27 @@ mod tests {
             let eff = spun.parallel_efficiency(1.0, 2).unwrap();
             assert!(eff >= 0.0);
         });
+    }
+
+    #[test]
+    fn nested_fan_outs_are_not_counted_twice() {
+        // Inline, the outer chunks cover the whole run: counting the
+        // nested chunks as well would report twice the wall time.
+        let (spun, wall) = with_threads(1, || {
+            let recorder = std::sync::Arc::new(kraftwerk_trace::RunRecorder::new());
+            kraftwerk_trace::install(recorder);
+            let before = UtilizationSnapshot::capture();
+            let started = std::time::Instant::now();
+            run_chunks(2, &|_| {
+                run_chunks(4, &|_| std::thread::sleep(std::time::Duration::from_millis(2)));
+            });
+            let wall = started.elapsed().as_secs_f64();
+            let spun = UtilizationSnapshot::capture().since(&before);
+            kraftwerk_trace::uninstall();
+            (spun, wall)
+        });
+        assert_eq!(spun.total_chunks(), 2 + 2 * 4, "every chunk body counted");
+        assert!(spun.busy_seconds() <= wall, "busy {:.4}s > wall {wall:.4}s", spun.busy_seconds());
     }
 
     #[test]

@@ -40,6 +40,40 @@ static CHUNKS: [AtomicU64; UTIL_SLOTS] = [const { AtomicU64::new(0) }; UTIL_SLOT
 thread_local! {
     /// This thread's utilization slot; non-worker threads publish into 0.
     static WORKER_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Chunk bodies this thread is inside right now. A chunk body may
+    /// publish a fan-out of its own; its chunks then run inside the outer
+    /// one and their time is already part of the outer chunk's.
+    static CHUNK_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Marks the current thread as inside a chunk body until dropped (also
+/// on unwind).
+pub(crate) struct ChunkScope {
+    outermost: bool,
+}
+
+impl ChunkScope {
+    pub(crate) fn enter() -> Self {
+        let depth = CHUNK_DEPTH.with(|d| {
+            let depth = d.get();
+            d.set(depth + 1);
+            depth
+        });
+        Self { outermost: depth == 0 }
+    }
+
+    /// Whether no other chunk body encloses this one on this thread — only
+    /// such a chunk's wall time counts as busy time, so nested fan-outs
+    /// are not counted twice.
+    pub(crate) fn outermost(&self) -> bool {
+        self.outermost
+    }
+}
+
+impl Drop for ChunkScope {
+    fn drop(&mut self) {
+        CHUNK_DEPTH.with(|d| d.set(d.get() - 1));
+    }
 }
 
 /// Adds one finished stretch of chunk work to this thread's slot.
@@ -121,13 +155,17 @@ impl Job {
             // so the publisher is still blocked and the closure alive.
             let run = unsafe { &*self.run.0 };
             let start = self.timed.then(Instant::now);
+            let scope = ChunkScope::enter();
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(i))) {
                 *self.panic.lock().expect("par: panic slot poisoned") = Some(payload);
             }
             if let Some(start) = start {
-                busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                if scope.outermost() {
+                    busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                }
                 chunks += 1;
             }
+            drop(scope);
             if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                 *self.done.lock().expect("par: done flag poisoned") = true;
                 self.done_cv.notify_all();
@@ -139,9 +177,12 @@ impl Job {
     }
 }
 
-/// The process-wide pool: a single job slot plus lazily spawned workers.
+/// The process-wide pool: the jobs in flight plus lazily spawned workers.
 pub(crate) struct Pool {
-    slot: Mutex<Option<Arc<Job>>>,
+    /// Published jobs not yet drained, oldest first. A chunk body may
+    /// publish a nested job while its own job still has unclaimed chunks,
+    /// so more than one job can be open at once.
+    jobs: Mutex<Vec<Arc<Job>>>,
     work_cv: Condvar,
     next_seq: AtomicU64,
     spawned: Mutex<usize>,
@@ -151,7 +192,7 @@ pub(crate) struct Pool {
 pub(crate) fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
-        slot: Mutex::new(None),
+        jobs: Mutex::new(Vec::new()),
         work_cv: Condvar::new(),
         next_seq: AtomicU64::new(1),
         spawned: Mutex::new(0),
@@ -193,8 +234,8 @@ impl Pool {
             done_cv: Condvar::new(),
         });
         {
-            let mut slot = self.slot.lock().expect("par: job slot poisoned");
-            *slot = Some(job.clone());
+            let mut jobs = self.jobs.lock().expect("par: job list poisoned");
+            jobs.push(job.clone());
             self.work_cv.notify_all();
         }
         // The publisher claims chunks too: the job drains even when every
@@ -206,10 +247,8 @@ impl Pool {
         }
         drop(done);
         {
-            let mut slot = self.slot.lock().expect("par: job slot poisoned");
-            if slot.as_ref().is_some_and(|j| j.seq == job.seq) {
-                *slot = None;
-            }
+            let mut jobs = self.jobs.lock().expect("par: job list poisoned");
+            jobs.retain(|j| j.seq != job.seq);
         }
         let payload = job.panic.lock().expect("par: panic slot poisoned").take();
         if let Some(payload) = payload {
@@ -233,17 +272,22 @@ impl Pool {
 
     fn worker_loop(&'static self, index: usize) {
         WORKER_SLOT.with(|slot| slot.set((index + 1).min(UTIL_SLOTS - 1)));
-        let mut last_seq = 0u64;
         loop {
+            // Oldest open job first: when a chunk body publishes nested
+            // work while its own job still has unclaimed chunks (a
+            // `join` branch fanning out), a worker that wakes late still
+            // takes the sibling branch instead of leaving it for the
+            // publisher to run after its own.
             let job = {
-                let mut slot = self.slot.lock().expect("par: job slot poisoned");
+                let mut jobs = self.jobs.lock().expect("par: job list poisoned");
                 loop {
-                    match slot.as_ref() {
-                        Some(job) if job.seq != last_seq => {
-                            last_seq = job.seq;
-                            break job.clone();
-                        }
-                        _ => slot = self.work_cv.wait(slot).expect("par: job slot poisoned"),
+                    let open = jobs.iter().find(|j| {
+                        j.next.load(Ordering::SeqCst) < j.total
+                            && j.helpers.load(Ordering::SeqCst) < j.max_helpers
+                    });
+                    match open {
+                        Some(job) => break job.clone(),
+                        None => jobs = self.work_cv.wait(jobs).expect("par: job list poisoned"),
                     }
                 }
             };

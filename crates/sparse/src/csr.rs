@@ -82,6 +82,21 @@ impl CooMatrix {
         }
     }
 
+    /// Grows the triplet storage to hold at least `nnz` triplets without
+    /// reallocating. Lets a caller size the buffer on one thread before
+    /// another thread assembles into it.
+    pub fn reserve(&mut self, nnz: usize) {
+        reserve_total(&mut self.rows, nnz);
+        reserve_total(&mut self.cols, nnz);
+        reserve_total(&mut self.vals, nnz);
+    }
+
+    /// Triplets the buffer holds without reallocating.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.rows.capacity().min(self.cols.capacity()).min(self.vals.capacity())
+    }
+
     /// Drops all triplets and re-dimensions the buffer, keeping the
     /// allocated capacity — the arena path re-assembles into the same
     /// buffer every placement transformation.
@@ -117,6 +132,12 @@ impl CooMatrix {
     }
 }
 
+/// Grows `v` so it holds `total` elements without reallocating (exact,
+/// no amortized over-allocation).
+fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+    v.reserve_exact(total.saturating_sub(v.len()));
+}
+
 /// Reusable scratch buffers for [`CsrMatrix::rebuild_from`]; hold one per
 /// arena and every rebuild after the first allocates nothing.
 #[derive(Debug, Clone, Default)]
@@ -126,6 +147,31 @@ pub struct CsrBuildScratch {
     order_cols: Vec<u32>,
     order_vals: Vec<f64>,
     row_scratch: Vec<(u32, f64)>,
+}
+
+impl CsrBuildScratch {
+    /// Sizes the scratch for rebuilding an `n x n` matrix from at most
+    /// `nnz` triplets, at most `row_nnz` of them in any one row, so such
+    /// a rebuild allocates nothing.
+    pub fn reserve(&mut self, n: usize, nnz: usize, row_nnz: usize) {
+        reserve_total(&mut self.row_counts, n + 1);
+        reserve_total(&mut self.cursor, n + 1);
+        reserve_total(&mut self.order_cols, nnz);
+        reserve_total(&mut self.order_vals, nnz);
+        reserve_total(&mut self.row_scratch, row_nnz);
+    }
+
+    /// Capacities of the scratch buffers, in a fixed order.
+    #[must_use]
+    pub fn capacity(&self) -> [usize; 5] {
+        [
+            self.row_counts.capacity(),
+            self.cursor.capacity(),
+            self.order_cols.capacity(),
+            self.order_vals.capacity(),
+            self.row_scratch.capacity(),
+        ]
+    }
 }
 
 /// A square sparse matrix in compressed-sparse-row format. Immutable
@@ -167,6 +213,24 @@ impl CsrMatrix {
     #[must_use]
     pub fn nnz(&self) -> usize {
         self.values.len()
+    }
+
+    /// Sizes the storage for an `n x n` rebuild with at most `nnz` stored
+    /// entries, so [`rebuild_from`](CsrMatrix::rebuild_from) allocates
+    /// nothing for such a rebuild.
+    pub fn reserve(&mut self, n: usize, nnz: usize) {
+        reserve_total(&mut self.row_ptr, n + 1);
+        reserve_total(&mut self.col_idx, nnz);
+        reserve_total(&mut self.values, nnz);
+    }
+
+    /// Capacities as `(row pointers, stored entries)`.
+    #[must_use]
+    pub fn capacity(&self) -> (usize, usize) {
+        (
+            self.row_ptr.capacity(),
+            self.col_idx.capacity().min(self.values.capacity()),
+        )
     }
 
     /// Iterates over the entries of a row as `(col, value)` pairs.

@@ -53,6 +53,18 @@ impl JacobiPreconditioner {
         }
     }
 
+    /// Sizes the stored diagonal for an `n x n` matrix, so a later
+    /// [`refresh_from`](Self::refresh_from) allocates nothing.
+    pub fn reserve(&mut self, n: usize) {
+        self.inv_diag.reserve_exact(n.saturating_sub(self.inv_diag.len()));
+    }
+
+    /// Entries the stored diagonal holds without reallocating.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.inv_diag.capacity()
+    }
+
     /// Dimension the preconditioner was built for.
     #[must_use]
     pub fn dim(&self) -> usize {

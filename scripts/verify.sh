@@ -95,6 +95,10 @@ spans = {e["name"] for e in events if e["ph"] == "X"}
 # the timed span tree records the two overlapped solves individually.
 if {"place.solve_x", "place.solve_y"} <= spans:
     spans.add("place.solve_xy")
+# Likewise the field/matrix join (`place.field_and_matrix`) overlaps the
+# Poisson solve with the system assembly.
+if {"place.field_solve", "place.force_assembly"} <= spans:
+    spans.add("place.field_and_matrix")
 missing = set(alloc) - spans
 assert not missing, f"report phases absent from perfetto span tree: {missing}"
 assert any(e["ph"] == "C" for e in events), "no counter tracks in perfetto export"
