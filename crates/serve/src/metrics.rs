@@ -58,6 +58,10 @@ pub(crate) struct ServiceMetrics {
     pub queue_wait_seconds: Arc<MetricHistogram>,
     /// Worker wall time per job (pickup to terminal frame), seconds.
     pub solve_wall_seconds: Arc<MetricHistogram>,
+    /// Connection-thread time per request frame (first byte read to
+    /// parsed request), seconds. Precedes admission, so neither the
+    /// queue wait nor the solve wall covers it.
+    pub frame_parse_seconds: Arc<MetricHistogram>,
 }
 
 impl ServiceMetrics {
@@ -148,6 +152,11 @@ impl ServiceMetrics {
                 "kraftwerk_solve_wall_seconds",
                 &[],
                 "Per-job worker wall time: pickup to terminal frame.",
+            ),
+            frame_parse_seconds: registry.histogram(
+                "kraftwerk_frame_parse_seconds",
+                &[],
+                "Per-frame connection-thread time: first byte read to parsed request.",
             ),
             started: Instant::now(),
             registry,

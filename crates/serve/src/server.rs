@@ -441,7 +441,8 @@ impl Server {
 
 /// One request line read from a connection.
 enum LineRead {
-    Line(String),
+    /// A complete frame and the instant its first byte was available.
+    Line(String, Instant),
     Oversized,
     BadUtf8,
     Closed,
@@ -453,6 +454,7 @@ enum LineRead {
 fn read_frame_line(reader: &mut BufReader<TcpStream>, max: usize, shared: &Shared) -> LineRead {
     let mut line: Vec<u8> = Vec::new();
     let mut oversized = false;
+    let mut started = None;
     loop {
         if shared.shutting_down() {
             return LineRead::Closed;
@@ -473,6 +475,7 @@ fn read_frame_line(reader: &mut BufReader<TcpStream>, max: usize, shared: &Share
             if buf.is_empty() {
                 return LineRead::Closed;
             }
+            started.get_or_insert_with(Instant::now);
             match buf.iter().position(|&b| b == b'\n') {
                 Some(i) => {
                     if !oversized {
@@ -502,7 +505,7 @@ fn read_frame_line(reader: &mut BufReader<TcpStream>, max: usize, shared: &Share
                 return LineRead::Oversized;
             }
             return match String::from_utf8(line) {
-                Ok(s) => LineRead::Line(s),
+                Ok(s) => LineRead::Line(s, started.unwrap_or_else(Instant::now)),
                 Err(_) => LineRead::BadUtf8,
             };
         }
@@ -541,11 +544,18 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
                     &ProtoError::protocol("frame is not valid UTF-8"),
                 ));
             }
-            LineRead::Line(line) => {
+            LineRead::Line(line, started) => {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match parse_request(&line) {
+                let request = parse_request(&line);
+                // Observed before any reply is sent, so a client that has
+                // its answer also sees the sample.
+                shared
+                    .metrics
+                    .frame_parse_seconds
+                    .observe(started.elapsed().as_secs_f64());
+                match request {
                     Err(e) => out.send(&error_frame(None, None, &e)),
                     Ok(Request::Ping) => {
                         let mut o = JsonObject::new();

@@ -195,6 +195,7 @@ impl Json {
 /// input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -208,6 +209,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -316,16 +318,20 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar, however many bytes long.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one piece. All three are ASCII, so
+                    // the run ends on a char boundary of the `&str` input
+                    // and needs no UTF-8 validation.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -591,5 +597,174 @@ mod tests {
             values,
         };
         assert_eq!(rec.to_json(), line);
+    }
+
+    #[test]
+    fn multibyte_scalars_survive_next_to_escapes() {
+        // 2-byte é, 3-byte 力 and 4-byte 🦀 raw, directly before and
+        // after simple and \u escapes.
+        let cases = [
+            (r#""é\n力\t🦀\"""#, "é\n力\t🦀\""),
+            (r#""\\é\/力\b🦀\f""#, "\\é/力\u{08}🦀\u{0c}"),
+            (r#""é\u00e9力\u529b🦀\ud83e\udd80🦀""#, "éé力力🦀🦀🦀"),
+            (r#""\u00e9é\u529b力\ud83e\udd80""#, "éé力力🦀"),
+            (r#""🦀""#, "🦀"),
+            (r#""a🦀\r""#, "a🦀\r"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(
+                parse(text),
+                Ok(Json::Str(want.to_string())),
+                "parsing {text}"
+            );
+        }
+        // The same strings as object keys and values.
+        let v = parse(r#"{"ké\ny":"力\"🦀"}"#).unwrap();
+        assert_eq!(v.get("ké\ny").and_then(Json::as_str), Some("力\"🦀"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_every_plane() {
+        for (text, want) in [
+            (r#""\u0000""#, "\u{0}"),
+            (r#""\u001F\u007f""#, "\u{1f}\u{7f}"),
+            (r#""\u00E9\uFFFD\uffff""#, "é\u{fffd}\u{ffff}"),
+            (r#""\ud800\udc00""#, "\u{10000}"),
+            (r#""\uDBFF\uDFFF""#, "\u{10ffff}"),
+            (r#""x\ud83e\udd80y""#, "x🦀y"),
+        ] {
+            assert_eq!(
+                parse(text),
+                Ok(Json::Str(want.to_string())),
+                "parsing {text}"
+            );
+        }
+        for (text, err) in [
+            (r#""\ud800\u0041""#, "invalid low surrogate"),
+            (r#""\ud800x""#, "expected `\\` at byte 7"),
+            (r#""\udc00""#, "invalid \\u escape"),
+            (r#""\u12g4""#, "bad \\u escape"),
+            (r#""\u12"#, "truncated \\u escape"),
+        ] {
+            assert_eq!(parse(text), Err(err.to_string()), "parsing {text}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_report_their_byte_offset() {
+        for (text, at) in [
+            // Start, middle and end of a run.
+            ("\"\u{01}abc\"", 1),
+            ("\"ab\u{1f}cd\"", 3),
+            ("\"abc\n\"", 4),
+            // After an escape and after multi-byte scalars.
+            ("\"a\\n\u{02}\"", 4),
+            ("\"é力🦀\t\"", 10),
+            ("{\"k\":\"v\u{00}\"}", 7),
+        ] {
+            assert_eq!(
+                parse(text),
+                Err(format!("raw control character at byte {at}")),
+                "parsing {text:?}"
+            );
+        }
+        // DEL (0x7f) is not a control character to JSON.
+        assert_eq!(parse("\"a\u{7f}\""), Ok(Json::Str("a\u{7f}".into())));
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for (text, err) in [
+            ("\"", "unterminated string"),
+            ("\"abc", "unterminated string"),
+            ("\"ab🦀", "unterminated string"),
+            ("{\"k\":\"v", "unterminated string"),
+            ("\"ab\\", "unterminated escape"),
+            ("\"a\\q\"", "bad escape at byte 3"),
+        ] {
+            assert_eq!(parse(text), Err(err.to_string()), "parsing {text:?}");
+        }
+    }
+
+    /// A random string drawn from every UTF-8 length class plus the
+    /// characters JSON must escape.
+    fn random_string(rng: &mut rand_chacha::ChaCha8Rng, len: usize) -> String {
+        use rand::Rng;
+        (0..len)
+            .map(|_| {
+                let code = match rng.gen_range(0u32..8) {
+                    0 => rng.gen_range(0u32..0x20),
+                    1 => [0x22, 0x5c, 0x2f][rng.gen_range(0usize..3)],
+                    2 | 3 => rng.gen_range(0x20u32..0x80),
+                    4 => rng.gen_range(0x80u32..0x800),
+                    5 => rng.gen_range(0x800u32..0xd800),
+                    6 => rng.gen_range(0xe000u32..0x10000),
+                    _ => rng.gen_range(0x10000u32..0x11_0000),
+                };
+                char::from_u32(code).expect("no surrogates drawn")
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn escaped_random_strings_round_trip(seed in 0u64..u64::MAX, len in 0usize..96) {
+            use rand::SeedableRng;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let s = random_string(&mut rng, len);
+            proptest::prop_assert_eq!(parse(&escaped(&s)), Ok(Json::Str(s.clone())));
+            let mut o = JsonObject::new();
+            o.str_field(&s, &s);
+            let v = parse(&o.finish()).expect("object parses");
+            proptest::prop_assert_eq!(v.get(&s).and_then(Json::as_str), Some(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn megabyte_string_fields_parse_in_linear_time() {
+        // A place frame whose netlist field is 1.5 MiB of escaped lines
+        // with multi-byte names. Parsing it linearly takes about 50 ms in
+        // a debug build (the bound leaves over 100x); re-validating the
+        // rest of the frame per character takes minutes.
+        const BOUND: std::time::Duration = std::time::Duration::from_secs(6);
+        let mut netlist = String::new();
+        let mut i = 0usize;
+        while netlist.len() < 3 << 19 {
+            let _ = writeln!(netlist, "cell zelle_{i}_größe \"力\" 4.0 1.0\tmovable");
+            i += 1;
+        }
+        let mut o = JsonObject::new();
+        o.str_field("type", "place");
+        o.str_field("netlist", &netlist);
+        let frame = o.finish();
+        let frame_len = frame.len();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            let parsed = parse(&frame);
+            let elapsed = start.elapsed();
+            let _ = done_tx.send(());
+            (parsed, elapsed)
+        });
+        // A parser still running at the bound fails the test now; its
+        // thread is left to run out. A panicking one surfaces at `join`.
+        assert!(
+            !matches!(
+                done_rx.recv_timeout(BOUND),
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+            ),
+            "parsing a {frame_len} byte frame took over {BOUND:?}"
+        );
+        let (parsed, elapsed) = worker.join().expect("parser thread panicked");
+        let v = parsed.expect("frame parses");
+        assert_eq!(
+            v.get("netlist").and_then(Json::as_str),
+            Some(netlist.as_str())
+        );
+        assert!(
+            elapsed < BOUND,
+            "parsing a {frame_len} byte frame took {elapsed:?}"
+        );
     }
 }

@@ -198,12 +198,14 @@ assert r["type"] == "result" and r["status"] in ("ok", "degraded"), r
 assert r["trace_id"] == "verify-smoke-1", r
 
 # 2. The scrape reflects the finished job: outcome counter moved, both
-#    SLO histograms carry the sample.
+#    SLO histograms carry the sample, and the connection thread timed
+#    reading and parsing the place frame.
 m1 = scrape_until("kraftwerk_solve_wall_seconds_count", 1.0)
 done = (m1.get('kraftwerk_jobs_total{outcome="ok"}', 0)
         + m1.get('kraftwerk_jobs_total{outcome="degraded"}', 0))
 assert done == 1.0, f"jobs_total did not move: {m1}"
 assert m1.get("kraftwerk_queue_wait_seconds_count") == 1.0, m1
+assert m1.get("kraftwerk_frame_parse_seconds_count") == 1.0, m1
 assert any('kraftwerk_queue_wait_seconds_bucket{le="' in s for s in m1), \
     "queue-wait histogram buckets missing from exposition"
 assert any('kraftwerk_solve_wall_seconds_bucket{le="' in s for s in m1), \
@@ -215,6 +217,10 @@ f.write("this is not json\n")
 f.flush()
 e = recv()
 assert e["type"] == "error" and e["stage"] == "protocol" and e["code"] == 2, e
+#    The frame-parse histogram counts the rejected frame too (observed
+#    before the error frame is sent).
+m_bad = scrape()
+assert m_bad.get("kraftwerk_frame_parse_seconds_count") == 2.0, m_bad
 
 # 4. A fault-injected job fails as a parse-stage error frame (code 4,
 #    the CLI parse exit code) without taking the worker down, and the

@@ -718,3 +718,58 @@ fn placement_is_bitwise_deterministic_with_metrics_enabled() {
     );
     assert_eq!(hpwls[1], hpwls[2], "2- and 8-thread HPWL must match bitwise");
 }
+
+#[test]
+fn ten_thousand_cell_frame_is_acknowledged_promptly() {
+    // A 10k-cell netlist makes a ~1.45 MB place frame. The connection
+    // thread reads and parses it before admission, so the `queued` ack
+    // measures that path: linear parsing takes tens of milliseconds
+    // even unoptimized, while re-validating the frame tail per
+    // character took about 50 s in a release build.
+    const ACK_BOUND: Duration = Duration::from_secs(4);
+    let (handle, join) = start(ServeConfig {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    });
+    let sidecar = handle.metrics_addr().expect("sidecar bound");
+    let text = netlist_text("srv-10k", 10_000, 11_500, 55);
+    let opts = PlaceOptions {
+        max_transformations: Some(2),
+        ..PlaceOptions::default()
+    };
+    let frame = place_frame("big-10k", &text, &opts);
+    assert!(
+        frame.len() > 1_000_000,
+        "frame is only {} bytes",
+        frame.len()
+    );
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let sent = std::time::Instant::now();
+    c.send_raw(&frame).expect("send");
+    let ack = c.read_frame().expect("ack frame");
+    let ack_wait = sent.elapsed();
+    assert_eq!(
+        ack.get("type").and_then(Json::as_str),
+        Some("queued"),
+        "{ack:?}"
+    );
+    assert!(ack_wait < ACK_BOUND, "queued ack took {ack_wait:?}");
+    let out = c.wait_for_outcome("big-10k").expect("transport");
+    assert_eq!(out.status, "ok");
+    // The frame's read-and-parse time is on /metrics.
+    let (_, body) = http_get(sidecar, "/metrics");
+    let sample = |series: &str| {
+        body.lines()
+            .find_map(|l| {
+                l.strip_prefix(series)?
+                    .strip_prefix(' ')?
+                    .parse::<f64>()
+                    .ok()
+            })
+            .unwrap_or_else(|| panic!("missing series {series} in:\n{body}"))
+    };
+    assert_eq!(sample("kraftwerk_frame_parse_seconds_count"), 1.0);
+    assert!(sample("kraftwerk_frame_parse_seconds_sum") < ACK_BOUND.as_secs_f64());
+    handle.shutdown();
+    join.join().expect("no panic").expect("clean run");
+}

@@ -59,21 +59,41 @@ fn one_record_per_transformation_with_increasing_iterations() {
             !record.phases.is_empty(),
             "each transformation should report phase timings"
         );
-        // The `place.*` phases are disjoint sub-spans of the
-        // transformation, so their total cannot exceed the recorded wall
-        // time by more than noise. (Nested solver spans like
-        // `multigrid.solve` overlap `place.field_solve` and would double
-        // count, so they are excluded from the sum.)
+        // The `place.*` phases tile the transformation, so their total
+        // cannot exceed the recorded wall time by more than noise. Two
+        // pairs run side by side in one join by design (the field solve
+        // beside the matrix assembly, the x solve beside the y solve);
+        // each pair counts once, as its longer span, since the join's
+        // wall is at least that. (Nested solver spans like
+        // `multigrid.solve` are not `place.*` and stay out of the sum.)
+        const OVERLAPPING: [[&str; 2]; 2] = [
+            ["place.field_solve", "place.force_assembly"],
+            ["place.solve_x", "place.solve_y"],
+        ];
         let wall = record.get("wall_s").and_then(Value::as_f64).unwrap();
-        let top_level: f64 = record
+        let phase = |name: &str| {
+            record
+                .phases
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0.0, |(_, s)| *s)
+        };
+        let disjoint: f64 = record
             .phases
             .iter()
-            .filter(|(name, _)| name.starts_with("place."))
+            .filter(|(name, _)| {
+                name.starts_with("place.") && !OVERLAPPING.iter().flatten().any(|n| n == name)
+            })
             .map(|(_, s)| s)
             .sum();
+        let joined: f64 = OVERLAPPING
+            .iter()
+            .map(|[a, b]| phase(a).max(phase(b)))
+            .sum();
+        let top_level = disjoint + joined;
         assert!(
             top_level <= wall * 1.5 + 1e-3,
-            "disjoint place.* phases ({top_level:.6}s) exceed wall time ({wall:.6}s)"
+            "place.* phases, each join counted once ({top_level:.6}s), exceed wall time ({wall:.6}s)"
         );
     }
 }
